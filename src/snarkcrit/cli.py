@@ -16,6 +16,7 @@ import argparse
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Optional
 
 from .criticality import (
@@ -155,19 +156,31 @@ _WORKERS = {
 # driver
 
 
-def _load_items(config: RunConfig) -> list[tuple[int, str]]:
+def _load_items(config: RunConfig) -> tuple[list[tuple[int, str]], int]:
+    """The (line number, text) items to work on, and how many exceed ``max_order``.
+
+    Graphs over the order limit are dropped here, before any worker sees them.
+    """
     if config.named is not None:
-        make_named(config.named)  # validate the name up front
-        return [(1, config.named)]
-    entries = read_graph6_file(config.input_path)
-    return [(e.line_number, e.graph6) for e in entries]
+        orders = [(1, config.named, make_named(config.named).order)]
+    else:
+        entries = read_graph6_file(config.input_path)
+        orders = [(e.line_number, e.graph6, e.graph.order) for e in entries]
+    items = [
+        (index, text)
+        for index, text, order in orders
+        if config.max_order is None or order <= config.max_order
+    ]
+    return items, len(orders) - len(items)
 
 
 def _run_pool(config: RunConfig, items: list[tuple[int, str]], worker) -> list[tuple]:
     if config.named is not None:
         # named graphs bypass graph6, so multigraph constructors work too
-        index, name = items[0]
-        return [_dispatch_named(config.command, index, make_named(name))]
+        return [
+            _dispatch_named(config.command, index, make_named(name))
+            for index, name in items
+        ]
     if config.jobs == 1:
         return [worker(item) for item in items]
     with ProcessPoolExecutor(max_workers=config.jobs) as pool:
@@ -218,6 +231,11 @@ def _dispatch_named(command: str, index: int, graph) -> tuple:
     )
 
 
+def _input_line(path: str, line_number: int) -> str:
+    """Line ``line_number`` of a graph6 file, split and stripped as the reader does."""
+    return Path(path).read_text().splitlines()[line_number - 1].strip()
+
+
 def _bool(x) -> str:
     return "true" if x else "false"
 
@@ -227,12 +245,15 @@ def run(config: RunConfig, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
-        items = _load_items(config)
+        items, skipped = _load_items(config)
     except (OSError, GraphError) as exc:
         print(f"error: cannot read input: {exc}", file=err)
         return EXIT_UNREADABLE
     except Graph6ParseError as exc:
         print(f"error: {exc}", file=err)
+        if exc.line_number is not None:
+            line = _input_line(config.input_path, exc.line_number)
+            print(f"offending line {exc.line_number}: {line}", file=err)
         return EXIT_PARSE
 
     worker = _WORKERS[config.command]
@@ -242,21 +263,14 @@ def run(config: RunConfig, out=None, err=None) -> int:
         print(f"error: {exc}", file=err)
         return EXIT_PARSE
 
-    # merge in input order, applying the order filter
-    results.sort(key=lambda r: r[1])
-    skipped = 0
-    kept = []
-    for r in results:
+    # merge in input order
+    kept = sorted(results, key=lambda r: r[1])
+    for r in kept:
         if r[0] == "parse_error":
             _, index, line, message = r
             print(f"error: {message}", file=err)
             print(f"offending line {index}: {line}", file=err)
             return EXIT_PARSE
-        order = r[2]
-        if config.max_order is not None and order > config.max_order:
-            skipped += 1
-            continue
-        kept.append(r)
 
     if config.command in ("classify", "stats"):
         records = [r[3] for r in kept]

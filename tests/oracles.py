@@ -3,17 +3,22 @@
 Everything here reads the graph structure directly and decides by plain
 enumeration (vectorized over full assignment tables, or naive backtracking
 without any of the production solver's ordering, forcing, or symmetry
-tricks).  Nothing imports the production decision procedures.
+tricks).  Nothing imports the production decision procedures; the one
+production helper used is ``chordless_cycles``, which the cycle-pair oracle
+enumerates over.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from itertools import combinations
+from typing import Optional, Union
 
 import numpy as np
 
 from snarkcrit.multigraph import DANGLING, CubicGraph
+from snarkcrit.structure import chordless_cycles
 
 _CHUNK = 1 << 15
 
@@ -273,3 +278,68 @@ def _has_two_cyclic_components(graph: CubicGraph, removed: set[int]) -> bool:
         1 for root, size in sizes.items() if edge_count.get(root, 0) >= size
     )
     return cyclic >= 2
+
+
+def cyclic_connectivity_by_cycle_pairs(graph: CubicGraph) -> Optional[int]:
+    """Minimum cyclic edge cut of a connected cubic graph, or None, by brute force.
+
+    Runs a max-flow between every vertex-disjoint pair of chordless cycles
+    and takes the smallest; None when no such pair exists.  Every
+    cycle-containing side of a cut contains a chordless cycle, so this is
+    exact, with no bounds and no early exit.
+    """
+    cycles = sorted(chordless_cycles(graph), key=len)
+    best: Union[int, float] = math.inf
+    found_pair = False
+    for i, ci in enumerate(cycles):
+        for cj in cycles[i + 1 :]:
+            if ci & cj:
+                continue
+            found_pair = True
+            best = min(best, _min_cut_between(graph, ci, cj))
+    return int(best) if found_pair else None
+
+
+def _min_cut_between(
+    graph: CubicGraph, side_a: frozenset[int], side_b: frozenset[int]
+) -> int:
+    """Unit-capacity max-flow between two disjoint vertex sets, each contracted."""
+    S, T = -1, -2
+
+    def node(x: int) -> int:
+        if x in side_a:
+            return S
+        if x in side_b:
+            return T
+        return x
+
+    capacity: dict[int, dict[int, int]] = {}
+    for e in graph.edges:
+        reals = e.real_endpoints()
+        if len(reals) != 2:
+            continue
+        x, y = node(reals[0]), node(reals[1])
+        if x == y:
+            continue
+        capacity.setdefault(x, {})[y] = capacity.get(x, {}).get(y, 0) + 1
+        capacity.setdefault(y, {})[x] = capacity.get(y, {}).get(x, 0) + 1
+
+    flow = 0
+    while True:
+        prev = {S: S}
+        queue = deque([S])
+        while queue and T not in prev:
+            x = queue.popleft()
+            for y, c in capacity.get(x, {}).items():
+                if c > 0 and y not in prev:
+                    prev[y] = x
+                    queue.append(y)
+        if T not in prev:
+            return flow
+        y = T
+        while y != S:
+            x = prev[y]
+            capacity[x][y] -= 1
+            capacity[y][x] = capacity.get(y, {}).get(x, 0) + 1
+            y = x
+        flow += 1

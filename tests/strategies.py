@@ -76,3 +76,23 @@ def random_cubic_graphs(
             continue
         out.append(build_graph(n, [tuple(e) for e in g.edges()]))
     return out
+
+
+def random_cubic_multigraphs(
+    count: int, orders: tuple[int, ...], seed: int
+) -> list[CubicGraph]:
+    """Seeded pool of connected cubic multigraphs, loops and parallel edges kept.
+
+    Pairs up three stubs per vertex uniformly at random (the configuration
+    model) and keeps the connected results; orders must be even.
+    """
+    rng = random.Random(seed)
+    out: list[CubicGraph] = []
+    while len(out) < count:
+        n = orders[len(out) % len(orders)]
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        g = build_graph(n, list(zip(stubs[::2], stubs[1::2])))
+        if g.is_connected:
+            out.append(g)
+    return out

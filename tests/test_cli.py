@@ -83,6 +83,25 @@ class TestClassify:
         rows = out.strip().split("\n")
         assert len(rows) == 4  # header + petersen + two blanusa
 
+    def test_max_order_filters_before_classifying(self, corpus_path, monkeypatch):
+        from snarkcrit import cli
+        from snarkcrit.graph_io import parse_graph6
+
+        seen_orders = []
+        real_worker = cli._WORKERS["stats"]
+
+        def recording_worker(item):
+            seen_orders.append(parse_graph6(item[1]).order)
+            return real_worker(item)
+
+        monkeypatch.setitem(cli._WORKERS, "stats", recording_worker)
+        code, out, _ = run_cli(
+            command="stats", input_path=str(corpus_path), max_order=18, jobs=1
+        )
+        assert code == EXIT_OK
+        assert sorted(seen_orders) == [10, 18, 18]
+        assert "skipped_over_max_order: 5" in out
+
 
 class TestDeterminism:
     def test_jobs_do_not_change_output(self, corpus_path):
@@ -192,6 +211,7 @@ class TestErrors:
         code, _, err = run_cli(command="classify", input_path=str(path))
         assert code == EXIT_PARSE
         assert "line 2" in err
+        assert "offending line 2: IheA@GUAo\x7f\n" in err
 
     def test_violation_exit_code(self):
         # synthetic inconsistent certificate exercises the exit path; the

@@ -16,10 +16,11 @@ from snarkcrit.structure import (
 )
 from oracles import (
     bridges_by_removal,
+    cyclic_connectivity_by_cycle_pairs,
     cyclic_cut_by_subset_enumeration,
     girth_by_cycle_enumeration,
 )
-from strategies import multigraphs, random_cubic_graphs
+from strategies import multigraphs, random_cubic_graphs, random_cubic_multigraphs
 
 
 class TestGirth:
@@ -147,6 +148,34 @@ class TestCyclicEdgeConnectivity:
         assert girth(digon) == 2
         # the two edges entering the digon separate it from the rest
         assert cyclic_edge_connectivity(digon) == 2
+
+
+class TestCyclicConnectivityMatchesCyclePairs:
+    """The bracketed computation against the plain all-pairs search."""
+
+    def test_random_simple_cubic(self):
+        for order in range(4, 18, 2):
+            for g in random_cubic_graphs(20, (order,), seed=order):
+                assert cyclic_edge_connectivity(g) == cyclic_connectivity_by_cycle_pairs(g)
+
+    def test_random_multigraphs_with_loops_and_digons(self):
+        graphs = random_cubic_multigraphs(300, (2, 4, 6, 8, 10, 12), seed=5)
+        assert any(e.is_loop for g in graphs for e in g.edges)
+        assert any(girth(g) == 2 for g in graphs)
+        for g in graphs:
+            assert cyclic_edge_connectivity(g) == cyclic_connectivity_by_cycle_pairs(g)
+
+    def test_named_graphs(self, k4, theta_graph, dumbbell_graph, petersen_graph):
+        digon = build_graph(
+            12,
+            [(e.a, e.b) for e in petersen_graph.edges if e.id != 0]
+            + [(0, 10), (10, 11), (10, 11), (11, 1)],
+        )
+        named = [k4, theta_graph, dumbbell_graph, petersen_graph, blanusa(1),
+                 blanusa(2), digon]
+        values = [cyclic_edge_connectivity(g) for g in named]
+        assert values == [cyclic_connectivity_by_cycle_pairs(g) for g in named]
+        assert values == [None, None, 1, 5, 4, 4, 2]
 
 
 class TestChordlessCycles:
