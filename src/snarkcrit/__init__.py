@@ -25,12 +25,8 @@ from .criticality import (
     classify,
     is_4_edge_critical,
     is_4_vertex_critical,
-    is_5_irreducible,
-    is_6_irreducible,
-    is_7_irreducible,
     is_bicritical,
     is_critical,
-    is_irreducible,
     is_snark,
     is_strong,
     pair_status,
@@ -59,7 +55,6 @@ from .graph_io import (
     read_graph6_file,
     write_records,
 )
-from .isomorphism import are_isomorphic
 from .multigraph import (
     DANGLING,
     CubicGraph,

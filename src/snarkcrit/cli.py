@@ -1,10 +1,18 @@
 """Batch driver: classify, verify, or aggregate over a graph6 file or a named graph.
 
-Entries are processed independently (optionally by a process pool) and the
-results are merged back in input order, so reports are deterministic for a
-fixed input regardless of the parallelism level.  The per-path timing
-columns are the one exception; ``--zero-timings`` blanks them when
-byte-stable output matters more than the benchmark.
+Each graph goes through :func:`evaluate`, which returns a :class:`Result`:
+the classification record for ``classify`` and ``stats``, the finished
+report line for the ``verify-*`` commands.  :func:`_work` parses a graph6
+line and evaluates it, alone or in a process pool; a ``--named`` graph is
+built once and evaluated directly, so multigraph constructors work too.
+Results are consumed in input order, so reports do not depend on
+``--jobs`` (the per-path timing columns aside, which ``--zero-timings``
+blanks), and ``--fail-fast`` stops the work at the first violating graph.
+
+``evaluate``, ``_work`` and ``run`` must look up ``parse_graph6``,
+``classify``, ``snark_status``, ``verify_local_equivalence`` and
+``write_records`` as globals of this module: the benchmark's tracer wraps
+them here.
 
 Exit codes: 0 fine, 2 unreadable input, 3 parse error, 4 a provably
 equivalent pair of routes disagreed somewhere (an implementation bug).
@@ -15,11 +23,14 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from .criticality import (
+    ClassificationRecord,
     EquivalenceViolationError,
     classify,
     snark_status,
@@ -34,7 +45,7 @@ from .graph_io import (
     read_graph6_file,
     write_records,
 )
-from .multigraph import GraphError
+from .multigraph import CubicGraph, GraphError
 
 COMMANDS = ("classify", "verify-local", "verify-coincidence", "verify-strong", "stats")
 
@@ -65,170 +76,118 @@ class RunConfig:
 
 
 # ----------------------------------------------------------------------
-# per-entry workers (top level so a process pool can pickle them)
+# one graph
 
 
-def _work_classify(item: tuple[int, str]) -> tuple:
-    index, line = item
-    try:
-        graph = parse_graph6(line, line_number=index)
-    except Graph6ParseError as err:
-        return ("parse_error", index, line, str(err))
-    return ("record", index, graph.order, classify(graph, graph_index=index))
+@dataclass(frozen=True)
+class Result:
+    """What one graph contributes to the report."""
+
+    index: int
+    record: Optional[ClassificationRecord] = None  # classify and stats
+    line: Optional[str] = None  # verify-*: the finished report line
+    violation: bool = False
+    pairs: int = 0  # verify-local: vertex pairs checked
 
 
-def _work_verify_local(item: tuple[int, str]) -> tuple:
-    index, line = item
-    try:
-        graph = parse_graph6(line, line_number=index)
-    except Graph6ParseError as err:
-        return ("parse_error", index, line, str(err))
+def _bool(x) -> str:
+    return "true" if x else "false"
+
+
+def evaluate(command: str, index: int, graph: CubicGraph) -> Result:
+    """Run ``command`` on one graph; ``index`` is its input line number."""
+    if command in ("classify", "stats"):
+        return Result(index, record=classify(graph, graph_index=index))
+    head = f"graph {index} (order {graph.order}): "
     status = snark_status(graph)
     if not status.verdict:
-        return ("refused", index, graph.order, status.reason)
-    of = verify_local_equivalence(graph)
-    return (
-        "certificate",
-        index,
-        graph.order,
-        of.pair_count,
-        of.consistent,
-        tuple((p.u, p.v) for p in of.inconsistent_pairs),
-        len(of.degenerate_pairs),
-    )
+        return Result(index, line=f"{head}refused, not a snark ({status.reason})")
+    if command == "verify-local":
+        cert = verify_local_equivalence(graph)
+        degenerate = len(cert.degenerate_pairs)
+        note = f", {degenerate} degenerate pair(s)" if degenerate else ""
+        if cert.consistent:
+            body = f"{cert.pair_count} pairs consistent{note}"
+        else:
+            bad = [(p.u, p.v) for p in cert.inconsistent_pairs]
+            body = f"INCONSISTENT pairs {bad}{note}"
+        return Result(
+            index,
+            line=head + body,
+            violation=not cert.consistent,
+            pairs=cert.pair_count,
+        )
+    if command == "verify-coincidence":
+        cert = verify_classifier_coincidence(graph)
+        agree = cert.consistent
+        body = (
+            f"critical={_bool(cert.critical)} "
+            f"4-edge-critical={_bool(cert.edge_flow_critical)} "
+            f"bicritical={_bool(cert.bicritical)} "
+            f"4-vertex-critical={_bool(cert.vertex_flow_critical)} "
+            f"coloring_micros={cert.coloring_path_micros} "
+            f"flow_micros={cert.flow_path_micros}"
+        )
+    else:  # verify-strong
+        cert = strong_certificate(graph)
+        agree = cert.routes_agree
+        body = (
+            f"strong={_bool(cert.is_strong)} routes_agree={_bool(agree)} "
+            f"edges={len(cert.per_edge)} "
+            f"non_suppressible={len(cert.non_suppressible_edges)}"
+        )
+    suffix = "" if agree else " DISAGREE"
+    return Result(index, line=head + body + suffix, violation=not agree)
 
 
-def _work_verify_coincidence(item: tuple[int, str]) -> tuple:
+def _work(command: str, item: tuple[int, str]) -> Result:
+    """Parse one graph6 line and evaluate it (top level so a pool can pickle it)."""
     index, line = item
     try:
-        graph = parse_graph6(line, line_number=index)
-    except Graph6ParseError as err:
-        return ("parse_error", index, line, str(err))
-    status = snark_status(graph)
-    if not status.verdict:
-        return ("refused", index, graph.order, status.reason)
-    cert = verify_classifier_coincidence(graph)
-    return (
-        "certificate",
-        index,
-        graph.order,
-        cert.critical,
-        cert.edge_flow_critical,
-        cert.bicritical,
-        cert.vertex_flow_critical,
-        cert.consistent,
-        cert.coloring_path_micros,
-        cert.flow_path_micros,
-    )
-
-
-def _work_verify_strong(item: tuple[int, str]) -> tuple:
-    index, line = item
-    try:
-        graph = parse_graph6(line, line_number=index)
-    except Graph6ParseError as err:
-        return ("parse_error", index, line, str(err))
-    status = snark_status(graph)
-    if not status.verdict:
-        return ("refused", index, graph.order, status.reason)
-    cert = strong_certificate(graph)
-    return (
-        "certificate",
-        index,
-        graph.order,
-        cert.is_strong,
-        cert.routes_agree,
-        len(cert.per_edge),
-        len(cert.non_suppressible_edges),
-    )
-
-
-_WORKERS = {
-    "classify": _work_classify,
-    "stats": _work_classify,
-    "verify-local": _work_verify_local,
-    "verify-coincidence": _work_verify_coincidence,
-    "verify-strong": _work_verify_strong,
-}
+        return evaluate(command, index, parse_graph6(line, line_number=index))
+    except EquivalenceViolationError as exc:
+        # a single string argument, so the error still pickles across the pool
+        raise EquivalenceViolationError(f"graph {index} ({line}): {exc}") from exc
 
 
 # ----------------------------------------------------------------------
 # driver
 
 
-def _load_items(config: RunConfig) -> tuple[list[tuple[int, str]], int]:
-    """The (line number, text) items to work on, and how many exceed ``max_order``.
+def _results(config: RunConfig) -> tuple[Iterator[Result], int]:
+    """The lazy per-graph results in input order, and how many graphs exceed ``max_order``.
 
-    Graphs over the order limit are dropped here, before any worker sees them.
+    Graphs over the order limit are dropped here, before any is evaluated.
     """
+
+    def fits(order: int) -> bool:
+        return config.max_order is None or order <= config.max_order
+
     if config.named is not None:
-        orders = [(1, config.named, make_named(config.named).order)]
-    else:
-        entries = read_graph6_file(config.input_path)
-        orders = [(e.line_number, e.graph6, e.graph.order) for e in entries]
-    items = [
-        (index, text)
-        for index, text, order in orders
-        if config.max_order is None or order <= config.max_order
-    ]
-    return items, len(orders) - len(items)
+        graph = make_named(config.named)
+        kept = [graph] if fits(graph.order) else []
+        return (evaluate(config.command, 1, g) for g in kept), 1 - len(kept)
+    entries = read_graph6_file(config.input_path)
+    items = [(e.line_number, e.graph6) for e in entries if fits(e.graph.order)]
+    return _run_pool(config, items), len(entries) - len(items)
 
 
-def _run_pool(config: RunConfig, items: list[tuple[int, str]], worker) -> list[tuple]:
-    if config.named is not None:
-        # named graphs bypass graph6, so multigraph constructors work too
-        return [
-            _dispatch_named(config.command, index, make_named(name))
-            for index, name in items
-        ]
+def _run_pool(config: RunConfig, items: list[tuple[int, str]]) -> Iterator[Result]:
+    """Evaluate graph6 items in input order, in a process pool when ``jobs`` > 1.
+
+    Closing this generator early (``--fail-fast``) cancels the chunks that
+    no worker has started yet.
+    """
+    work = partial(_work, config.command)
     if config.jobs == 1:
-        return [worker(item) for item in items]
-    with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        yield from map(work, items)
+        return
+    pool = ProcessPoolExecutor(max_workers=config.jobs)
+    try:
         chunk = max(1, len(items) // (config.jobs * 4))
-        return list(pool.map(worker, items, chunksize=chunk))
-
-
-def _dispatch_named(command: str, index: int, graph) -> tuple:
-    status = snark_status(graph)
-    if command in ("classify", "stats"):
-        return ("record", index, graph.order, classify(graph, graph_index=index))
-    if not status.verdict:
-        return ("refused", index, graph.order, status.reason)
-    if command == "verify-local":
-        cert = verify_local_equivalence(graph)
-        return (
-            "certificate",
-            index,
-            graph.order,
-            cert.pair_count,
-            cert.consistent,
-            tuple((p.u, p.v) for p in cert.inconsistent_pairs),
-            len(cert.degenerate_pairs),
-        )
-    if command == "verify-coincidence":
-        cert = verify_classifier_coincidence(graph)
-        return (
-            "certificate",
-            index,
-            graph.order,
-            cert.critical,
-            cert.edge_flow_critical,
-            cert.bicritical,
-            cert.vertex_flow_critical,
-            cert.consistent,
-            cert.coloring_path_micros,
-            cert.flow_path_micros,
-        )
-    cert = strong_certificate(graph)
-    return (
-        "certificate",
-        index,
-        graph.order,
-        cert.is_strong,
-        cert.routes_agree,
-        len(cert.per_edge),
-        len(cert.non_suppressible_edges),
-    )
+        yield from pool.map(work, items, chunksize=chunk)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _input_line(path: str, line_number: int) -> str:
@@ -236,16 +195,12 @@ def _input_line(path: str, line_number: int) -> str:
     return Path(path).read_text().splitlines()[line_number - 1].strip()
 
 
-def _bool(x) -> str:
-    return "true" if x else "false"
-
-
 def run(config: RunConfig, out=None, err=None) -> int:
     """Execute one command; returns the process exit code."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
-        items, skipped = _load_items(config)
+        results, skipped = _results(config)
     except (OSError, GraphError) as exc:
         print(f"error: cannot read input: {exc}", file=err)
         return EXIT_UNREADABLE
@@ -256,24 +211,8 @@ def run(config: RunConfig, out=None, err=None) -> int:
             print(f"offending line {exc.line_number}: {line}", file=err)
         return EXIT_PARSE
 
-    worker = _WORKERS[config.command]
-    try:
-        results = _run_pool(config, items, worker)
-    except Graph6ParseError as exc:
-        print(f"error: {exc}", file=err)
-        return EXIT_PARSE
-
-    # merge in input order
-    kept = sorted(results, key=lambda r: r[1])
-    for r in kept:
-        if r[0] == "parse_error":
-            _, index, line, message = r
-            print(f"error: {message}", file=err)
-            print(f"offending line {index}: {line}", file=err)
-            return EXIT_PARSE
-
     if config.command in ("classify", "stats"):
-        records = [r[3] for r in kept]
+        records = [r.record for r in results]
         if config.zero_timings:
             records = [
                 replace(rec, coloring_path_micros=None, flow_path_micros=None)
@@ -286,7 +225,8 @@ def run(config: RunConfig, out=None, err=None) -> int:
             return EXIT_OK
         return _print_stats(records, skipped, config, out)
 
-    return _print_certificates(kept, skipped, config, out)
+    with closing(results):
+        return _print_certificates(results, skipped, config, out)
 
 
 def _print_stats(records, skipped: int, config: RunConfig, out) -> int:
@@ -309,52 +249,18 @@ def _print_stats(records, skipped: int, config: RunConfig, out) -> int:
     return EXIT_OK
 
 
-def _print_certificates(kept, skipped: int, config: RunConfig, out) -> int:
-    violations = 0
-    pair_total = 0
-    for r in kept:
-        if r[0] == "refused":
-            _, index, order, reason = r
-            out.write(f"graph {index} (order {order}): refused, not a snark ({reason})\n")
-            continue
-        if config.command == "verify-local":
-            _, index, order, pairs, consistent, bad_pairs, degenerate = r
-            pair_total += pairs
-            note = f", {degenerate} degenerate pair(s)" if degenerate else ""
-            if consistent:
-                out.write(f"graph {index} (order {order}): {pairs} pairs consistent{note}\n")
-            else:
-                violations += 1
-                out.write(
-                    f"graph {index} (order {order}): INCONSISTENT pairs {list(bad_pairs)}{note}\n"
-                )
-        elif config.command == "verify-coincidence":
-            (_, index, order, critical, edge_fc, bicritical, vertex_fc,
-             consistent, cmicros, fmicros) = r
-            line = (
-                f"graph {index} (order {order}): critical={_bool(critical)} "
-                f"4-edge-critical={_bool(edge_fc)} bicritical={_bool(bicritical)} "
-                f"4-vertex-critical={_bool(vertex_fc)} "
-                f"coloring_micros={cmicros} flow_micros={fmicros}"
-            )
-            if not consistent:
-                violations += 1
-                line += " DISAGREE"
-            out.write(line + "\n")
-        else:  # verify-strong
-            _, index, order, strong, agree, edges, non_suppressible = r
-            line = (
-                f"graph {index} (order {order}): strong={_bool(strong)} "
-                f"routes_agree={_bool(agree)} edges={edges} "
-                f"non_suppressible={non_suppressible}"
-            )
-            if not agree:
-                violations += 1
-                line += " DISAGREE"
-            out.write(line + "\n")
-        if violations and config.fail_fast:
+def _print_certificates(
+    results: Iterable[Result], skipped: int, config: RunConfig, out
+) -> int:
+    checked = violations = pair_total = 0
+    for r in results:
+        out.write(r.line + "\n")
+        checked += 1
+        violations += r.violation
+        pair_total += r.pairs
+        if r.violation and config.fail_fast:
             break
-    summary = f"checked {len(kept)} graph(s)"
+    summary = f"checked {checked} graph(s)"
     if config.command == "verify-local":
         summary += f", {pair_total} pair(s)"
     if skipped:

@@ -290,13 +290,6 @@ def is_4_vertex_critical(graph: CubicGraph) -> bool:
     )
 
 
-# named synonyms from the reduction point of view; not computed separately
-is_5_irreducible = is_critical
-is_6_irreducible = is_critical
-is_7_irreducible = is_bicritical
-is_irreducible = is_bicritical
-
-
 # ----------------------------------------------------------------------
 # strength
 

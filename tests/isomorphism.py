@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .multigraph import CubicGraph
+from snarkcrit.multigraph import CubicGraph
 
 
 def _signature(graph: CubicGraph) -> tuple:

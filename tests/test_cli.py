@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import io
+import re
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,12 +13,15 @@ from snarkcrit.cli import (
     EXIT_PARSE,
     EXIT_UNREADABLE,
     EXIT_VIOLATION,
+    Result,
     RunConfig,
     _print_certificates,
     main,
     run,
 )
-from snarkcrit.graph_io import encode_graph6, petersen
+from snarkcrit.criticality import EquivalenceViolationError
+from snarkcrit.graph_io import blanusa, encode_graph6, petersen
+from snarkcrit.multigraph import VertexPair
 
 
 def run_cli(**kwargs) -> tuple[int, str, str]:
@@ -85,16 +90,15 @@ class TestClassify:
 
     def test_max_order_filters_before_classifying(self, corpus_path, monkeypatch):
         from snarkcrit import cli
-        from snarkcrit.graph_io import parse_graph6
 
         seen_orders = []
-        real_worker = cli._WORKERS["stats"]
+        real_evaluate = cli.evaluate
 
-        def recording_worker(item):
-            seen_orders.append(parse_graph6(item[1]).order)
-            return real_worker(item)
+        def recording_evaluate(command, index, graph):
+            seen_orders.append(graph.order)
+            return real_evaluate(command, index, graph)
 
-        monkeypatch.setitem(cli._WORKERS, "stats", recording_worker)
+        monkeypatch.setattr(cli, "evaluate", recording_evaluate)
         code, out, _ = run_cli(
             command="stats", input_path=str(corpus_path), max_order=18, jobs=1
         )
@@ -194,6 +198,21 @@ class TestVerifyCommands:
         )
         assert serial == parallel
 
+    @pytest.mark.parametrize(
+        "command", ["classify", "verify-local", "verify-coincidence", "verify-strong"]
+    )
+    def test_named_and_graph6_report_the_same_line(self, command, tmp_path):
+        path = tmp_path / "petersen.g6"
+        path.write_text(encode_graph6(petersen()) + "\n")
+
+        def graph_line(**source) -> str:
+            code, out, _ = run_cli(command=command, zero_timings=True, **source)
+            assert code == EXIT_OK
+            line = out.strip().split("\n")[1 if command == "classify" else 0]
+            return re.sub(r"micros=\d+", "micros=", line)
+
+        assert graph_line(named="petersen") == graph_line(input_path=str(path))
+
 
 class TestErrors:
     def test_unreadable_input(self, tmp_path):
@@ -214,23 +233,72 @@ class TestErrors:
         assert "offending line 2: IheA@GUAo\x7f\n" in err
 
     def test_violation_exit_code(self):
-        # synthetic inconsistent certificate exercises the exit path; the
+        # synthetic inconsistent result exercises the exit path; the
         # honest pipeline cannot produce one without a solver bug
         out = io.StringIO()
-        fake = [("certificate", 1, 10, 45, False, ((0, 1),), 0)]
+        fake = [
+            Result(1, line="graph 1 (order 10): INCONSISTENT pairs [(0, 1)]",
+                   violation=True, pairs=45),
+        ]
         config = RunConfig(command="verify-local", named="petersen")
         assert _print_certificates(fake, 0, config, out) == EXIT_VIOLATION
         assert "INCONSISTENT" in out.getvalue()
+        assert "1 violation(s)" in out.getvalue()
 
     def test_fail_fast_stops_at_first_violation(self):
         out = io.StringIO()
         fake = [
-            ("certificate", 1, 10, 45, False, ((0, 1),), 0),
-            ("certificate", 2, 10, 45, True, (), 0),
+            Result(1, line="graph 1 (order 10): INCONSISTENT pairs [(0, 1)]",
+                   violation=True, pairs=45),
+            Result(2, line="graph 2 (order 10): 45 pairs consistent", pairs=45),
         ]
         config = RunConfig(command="verify-local", named="petersen", fail_fast=True)
         assert _print_certificates(fake, 0, config, out) == EXIT_VIOLATION
         assert "graph 2" not in out.getvalue()
+        assert "checked 1 graph(s), 45 pair(s)" in out.getvalue()
+
+    def test_fail_fast_stops_the_work(self, tmp_path, monkeypatch):
+        from snarkcrit import cli
+
+        path = tmp_path / "two.g6"
+        path.write_text(encode_graph6(petersen()) + "\n" + encode_graph6(blanusa(1)) + "\n")
+        evaluated = []
+
+        def inconsistent(graph):
+            evaluated.append(graph.order)
+            return SimpleNamespace(
+                pair_count=45,
+                consistent=False,
+                inconsistent_pairs=(VertexPair(0, 1),),
+                degenerate_pairs=(),
+            )
+
+        monkeypatch.setattr(cli, "verify_local_equivalence", inconsistent)
+        code, out, _ = run_cli(
+            command="verify-local", input_path=str(path), jobs=1, fail_fast=True
+        )
+        assert code == EXIT_VIOLATION
+        assert evaluated == [10]
+        assert "graph 2" not in out
+        assert "checked 1 graph(s), 45 pair(s), 1 violation(s)" in out
+
+    def test_violation_names_the_graph(self, tmp_path, monkeypatch, capsys):
+        from snarkcrit import cli
+
+        lines = [encode_graph6(petersen()), encode_graph6(blanusa(1))]
+        path = tmp_path / "two.g6"
+        path.write_text("\n".join(lines) + "\n")
+        real_classify = cli.classify
+
+        def failing_classify(graph, graph_index=0):
+            if graph_index == 2:
+                raise EquivalenceViolationError("routes disagree")
+            return real_classify(graph, graph_index=graph_index)
+
+        monkeypatch.setattr(cli, "classify", failing_classify)
+        assert main(["--input", str(path), "--command", "classify"]) == EXIT_VIOLATION
+        err = capsys.readouterr().err
+        assert f"graph 2 ({lines[1]}): routes disagree" in err
 
 
 class TestEntryPoint:

@@ -9,7 +9,6 @@ from snarkcrit.criticality import (
     is_4_vertex_critical,
     is_bicritical,
     is_critical,
-    is_irreducible,
     is_snark,
     is_strong,
     pair_status,
@@ -134,7 +133,6 @@ class TestClassifiers:
         assert is_bicritical(petersen_graph)
         assert is_4_edge_critical(petersen_graph)
         assert is_4_vertex_critical(petersen_graph)
-        assert is_irreducible(petersen_graph)
 
     def test_triangle_expansion_not_critical(self, petersen_graph):
         expanded = expand_triangle(petersen_graph, 0)

@@ -18,9 +18,9 @@ from snarkcrit.graph_io import (
     read_graph6_file,
     write_records,
 )
-from snarkcrit.isomorphism import are_isomorphic
 from snarkcrit.multigraph import DANGLING, GraphError, build_graph
 from snarkcrit.structure import girth
+from isomorphism import are_isomorphic
 from strategies import random_cubic_graphs
 
 

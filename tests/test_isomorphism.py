@@ -1,8 +1,8 @@
 from __future__ import annotations
 
 from snarkcrit.graph_io import blanusa, petersen
-from snarkcrit.isomorphism import are_isomorphic
 from snarkcrit.multigraph import DANGLING, build_graph
+from isomorphism import are_isomorphic
 
 
 def test_relabeled_petersen():

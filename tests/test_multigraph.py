@@ -3,7 +3,6 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from snarkcrit.isomorphism import are_isomorphic
 from snarkcrit.multigraph import (
     DANGLING,
     CubicGraph,
@@ -18,6 +17,7 @@ from snarkcrit.multigraph import (
     remove_vertex_pair,
     suppress_edge,
 )
+from isomorphism import are_isomorphic
 from strategies import multigraphs
 
 
