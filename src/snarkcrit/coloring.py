@@ -30,10 +30,6 @@ class KleinColor(IntEnum):
 KLEIN_COLORS = (KleinColor.C01, KleinColor.C10, KleinColor.C11)
 
 
-def klein_sum(a: int, b: int) -> int:
-    return a ^ b
-
-
 @dataclass(frozen=True, eq=False)
 class EdgeColoring:
     """A color for every non-loop edge of ``graph``, dangling edges included."""
@@ -77,13 +73,14 @@ def three_edge_colorable(graph: CubicGraph) -> Optional[EdgeColoring]:
     """Find a proper 3-edge-coloring, or None if there is none.
 
     Vertices of degree above three are an input error.  The search runs per
-    component, visiting edges in DFS order from a maximum-degree vertex;
+    component, visiting edges in BFS order from a maximum-degree vertex;
     the start vertex's edges are pinned to fixed colors, which quotients
     away the six color permutations.
     """
-    for v in graph.vertices:
-        if graph.degree(v) > 3:
-            raise GraphError(f"vertex {v} has degree {graph.degree(v)} > 3")
+    degree = graph.degrees()
+    for v, d in degree.items():
+        if d > 3:
+            raise GraphError(f"vertex {v} has degree {d} > 3")
     if any(e.is_loop for e in graph.edges):
         return None
 
@@ -91,7 +88,7 @@ def three_edge_colorable(graph: CubicGraph) -> Optional[EdgeColoring]:
     for e in graph.free_edges():
         assignment[e.id] = KleinColor.C01  # no vertex constrains a free edge
     for comp in graph.components():
-        part = _color_component(graph, comp)
+        part = _color_component(graph, comp, degree)
         if part is None:
             return None
         assignment.update(part)
@@ -122,82 +119,87 @@ def coloring_as_flow(coloring: EdgeColoring):
 # solver internals
 
 
-def _edge_order(graph: CubicGraph, comp: frozenset[int]) -> tuple[list, int]:
-    """DFS edge order over one component, starting at a max-degree vertex.
+def _edge_order(
+    graph: CubicGraph, comp: frozenset[int], degree: dict[int, int]
+) -> tuple[list, int]:
+    """BFS edge order over one component, starting at a max-degree vertex.
 
     Returns the ordered edge list and the number of leading edges incident
     with the start vertex (those get pinned colors).
     """
-    start = min(comp, key=lambda v: (-graph.degree(v), v))
+    start = min(comp, key=lambda v: (-degree[v], v))
     order = []
     listed = set()
     seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for e in sorted(graph.incident_edges(v), key=lambda e: e.id):
+    queue = [start]
+    for v in queue:
+        for e in sorted(graph.incident_edges(v)):
             if e.id not in listed:
                 listed.add(e.id)
                 order.append(e)
-            w = e.other_endpoint(v)
+            w = e.b if e.a == v else e.a
             if w is not DANGLING and w not in seen:
                 seen.add(w)
-                stack.append(w)
-    pinned = len(graph.incident_edges(start))
-    return order, pinned
+                queue.append(w)
+    return order, degree[start]
 
 
-def _color_component(graph: CubicGraph, comp: frozenset[int]) -> Optional[dict[int, KleinColor]]:
-    order, pinned = _edge_order(graph, comp)
+def _color_component(
+    graph: CubicGraph, comp: frozenset[int], degree: dict[int, int]
+) -> Optional[dict[int, KleinColor]]:
+    order, pinned = _edge_order(graph, comp, degree)
     m = len(order)
     if m == 0:
         return {}
 
-    index = {v: i for i, v in enumerate(sorted(comp))}
-    end_a = [index[e.a] if e.a is not DANGLING else -1 for e in order]
-    end_b = [index[e.b] if e.b is not DANGLING else -1 for e in order]
-    # pinned edges get a single fixed candidate; the rest try all three colors
-    candidates = [
-        ((i + 1,) if i < pinned else (1, 2, 3)) for i in range(m)
-    ]
-
-    used = [0] * len(index)
-    color = [0] * m
-    trial = [0] * m
-    pos = 0
-    while 0 <= pos < m:
-        cands = candidates[pos]
-        a, b = end_a[pos], end_b[pos]
-        t = trial[pos]
-        placed = False
-        while t < len(cands):
-            c = cands[t]
-            t += 1
-            bit = 1 << c
-            if (a >= 0 and used[a] & bit) or (b >= 0 and used[b] & bit):
-                continue
-            color[pos] = c
-            if a >= 0:
-                used[a] |= bit
-            if b >= 0:
-                used[b] |= bit
-            trial[pos] = t
-            placed = True
-            break
-        if placed:
-            pos += 1
-            if pos < m:
-                trial[pos] = 0
+    # one used-color bitmask per vertex, and one more per dangling edge for
+    # its detached side, which thus never conflicts with anything
+    index = {v: i for i, v in enumerate(comp)}
+    slots = len(index)
+    end_a: list[int] = []
+    end_b: list[int] = []
+    for _, a, b in order:
+        if a is DANGLING:
+            a, slots = slots, slots + 1
         else:
-            trial[pos] = 0
-            pos -= 1
-            if pos >= 0:
-                bit = 1 << color[pos]
-                a, b = end_a[pos], end_b[pos]
-                if a >= 0:
-                    used[a] &= ~bit
-                if b >= 0:
-                    used[b] &= ~bit
-    if pos < 0:
-        return None
-    return {order[i].id: KleinColor(color[i]) for i in range(m)}
+            a = index[a]
+        if b is DANGLING:
+            b, slots = slots, slots + 1
+        else:
+            b = index[b]
+        end_a.append(a)
+        end_b.append(b)
+    used = [0] * slots
+
+    # the start vertex's edges take colors 1, 2, 3 in turn; with nothing
+    # else colored they cannot conflict
+    color = [0] * m
+    for pos in range(pinned):
+        color[pos] = c = pos + 1
+        used[end_a[pos]] |= 1 << c
+        used[end_b[pos]] |= 1 << c
+
+    # backtracking search; color[p] is the color edge p last took (0 before
+    # its first try), so a retry resumes from the next color
+    pos = pinned
+    while pos < m:
+        a = end_a[pos]
+        b = end_b[pos]
+        busy = used[a] | used[b]
+        c = color[pos] + 1
+        while c <= 3 and busy >> c & 1:
+            c += 1
+        if c <= 3:
+            color[pos] = c
+            used[a] |= 1 << c
+            used[b] |= 1 << c
+            pos += 1
+            continue
+        color[pos] = 0
+        pos -= 1
+        if pos < pinned:
+            return None
+        bit = 1 << color[pos]
+        used[end_a[pos]] ^= bit
+        used[end_b[pos]] ^= bit
+    return {e.id: KLEIN_COLORS[c - 1] for e, c in zip(order, color)}

@@ -7,12 +7,15 @@ of incoming values equals the sum of outgoing ones.  A loop contributes
 once in and once out, hence nothing; a dangling edge contributes only at
 its attached vertex.
 
-The search works per component over a spanning tree: values on cotree
+The search works per component over a DFS spanning tree: values on cotree
 edges, loops, and dangling edges are the free variables, and tree-edge
 values are forced bottom-up by the conservation law at their deeper
-endpoint.  A forced identity value prunes the branch, so bridges of
-dangling-free graphs fail immediately.  Group arithmetic is table-driven,
-which keeps the solver generic over the two groups.
+endpoint.  Vertices are scheduled in reversed DFS preorder, which keeps
+each subtree contiguous just before its root, so when a forced value fails
+the search backtracks into the decisions made inside that subtree, the
+ones that fixed it.  A forced identity value prunes the branch, so bridges
+of dangling-free graphs fail immediately.  Group arithmetic is
+table-driven, which keeps the solver generic over the two groups.
 """
 
 from __future__ import annotations
@@ -162,121 +165,101 @@ _DECIDE, _FORCE, _CHECK = 0, 1, 2
 def _flow_component(
     graph: CubicGraph, comp: frozenset[int], group: FlowGroup
 ) -> Optional[dict[int, int]]:
-    index = {v: i for i, v in enumerate(sorted(comp))}
-    root = min(comp)
+    # spanning tree by DFS over real non-loop edges; vertices are numbered
+    # in preorder, and parent[i] is the tree edge into vertex i
+    local: dict[int, int] = {}
+    parent: list = []
+    incident: list = []
+    stack = [(min(comp), None)]
+    while stack:
+        v, pe = stack.pop()
+        if v in local:
+            continue
+        local[v] = len(parent)
+        parent.append(pe)
+        inc = sorted(graph.incident_edges(v))
+        incident.append(inc)
+        for e in reversed(inc):
+            w = e.b if e.a == v else e.a
+            if w is not DANGLING and w not in local:
+                stack.append((w, e))
 
-    # spanning tree by BFS over real non-loop edges
-    parent_edge: dict[int, int] = {}
-    discovery = [root]
-    seen = {root}
-    qi = 0
-    while qi < len(discovery):
-        v = discovery[qi]
-        qi += 1
-        for e in sorted(graph.incident_edges(v), key=lambda e: e.id):
-            w = e.other_endpoint(v)
-            if w is DANGLING or e.is_loop or w in seen:
-                continue
-            seen.add(w)
-            parent_edge[w] = e.id
-            discovery.append(w)
-
-    # schedule: deepest vertices first; decide the free edges seen at each
-    # vertex, then force its tree edge, finally check balance at the root
-    edges_local: list[tuple[int, int, int]] = []  # (edge id, tail local, head local)
-    local_of: dict[int, int] = {}
-
-    def local_edge(e) -> int:
-        if e.id not in local_of:
-            ta = index.get(e.a, -1) if e.a is not DANGLING else -1
-            hb = index.get(e.b, -1) if e.b is not DANGLING else -1
-            local_of[e.id] = len(edges_local)
-            edges_local.append((e.id, ta, hb))
-        return local_of[e.id]
-
-    plan: list[tuple[int, int, int]] = []  # (kind, edge local or -1, vertex local)
+    # schedule, one step per entry of the five lists: vertices in reversed
+    # preorder; decide the cotree and dangling edges first seen at each
+    # vertex, then force its tree edge, finally check balance at the root.  The detached side of a
+    # dangling edge points at a sink slot that no step reads.
+    sink = len(parent)
+    kind: list[int] = []
+    edge: list[int] = []
+    vertex: list[int] = []
+    head: list[int] = []
+    tail: list[int] = []
     scheduled: set[int] = set()
-    for v in reversed(discovery):
-        pe = parent_edge.get(v)
-        for e in sorted(graph.incident_edges(v), key=lambda e: e.id):
-            if e.is_loop or e.id == pe or e.id in scheduled:
+
+    def step(k: int, e, vi: int) -> None:
+        kind.append(k)
+        edge.append(e.id)
+        vertex.append(vi)
+        head.append(sink if e.b is DANGLING else local[e.b])
+        tail.append(sink if e.a is DANGLING else local[e.a])
+
+    for vi in range(sink - 1, -1, -1):
+        pe = parent[vi]
+        for e in incident[vi]:
+            if e.a == e.b or e is pe or e.id in scheduled:
                 continue
             scheduled.add(e.id)
-            plan.append((_DECIDE, local_edge(e), -1))
-        if v == root:
-            plan.append((_CHECK, -1, index[v]))
+            step(_DECIDE, e, -1)
+        if pe is None:
+            kind.append(_CHECK)
+            edge.append(-1)
+            vertex.append(vi)
+            head.append(sink)
+            tail.append(sink)
         else:
-            scheduled.add(pe)
-            plan.append((_FORCE, local_edge(graph.edge(pe)), index[v]))
+            scheduled.add(pe.id)
+            step(_FORCE, pe, vi)
 
-    return _run_plan(plan, edges_local, len(index), group)
-
-
-def _run_plan(plan, edges_local, n_vertices, group) -> Optional[dict[int, int]]:
+    # backtracking search; val[p] is the value step p last applied (0 before
+    # its first try), so a decision resumes from it and a forced value that
+    # has been tried has no alternative
     add_t = group.add_table
     neg_t = group.neg_table
-    nonzero = group.nonzero()
-    n = len(plan)
-    sums = [0] * n_vertices
-    trial = [0] * n
-    applied: list = [None] * n  # (edge local, value) once applied
-    out: dict[int, int] = {}
-
-    def apply(ei: int, val: int) -> None:
-        _, tail, head = edges_local[ei]
-        if head >= 0:
-            sums[head] = add_t[sums[head]][val]
-        if tail >= 0:
-            sums[tail] = add_t[sums[tail]][neg_t[val]]
-
-    def undo(ei: int, val: int) -> None:
-        _, tail, head = edges_local[ei]
-        if head >= 0:
-            sums[head] = add_t[sums[head]][neg_t[val]]
-        if tail >= 0:
-            sums[tail] = add_t[sums[tail]][val]
-
+    order = group.order
+    n = len(kind)
+    sums = [0] * (sink + 1)
+    val = [0] * n
     pos = 0
-    while 0 <= pos < n:
-        kind, ei, vi = plan[pos]
-        ok = False
-        if kind == _DECIDE:
-            t = trial[pos]
-            if t < len(nonzero):
-                val = nonzero[t]
-                trial[pos] = t + 1
-                apply(ei, val)
-                applied[pos] = (ei, val)
-                ok = True
-        elif kind == _FORCE:
-            if trial[pos] == 0:
-                trial[pos] = 1
-                _, tail, head = edges_local[ei]
-                # the forced value zeroes the balance at vi
-                val = neg_t[sums[vi]] if head == vi else sums[vi]
-                if val != 0:
-                    apply(ei, val)
-                    applied[pos] = (ei, val)
-                    ok = True
-        else:  # _CHECK
-            if trial[pos] == 0:
-                trial[pos] = 1
-                if sums[vi] == 0:
-                    applied[pos] = ()
-                    ok = True
+    while pos < n:
+        k = kind[pos]
+        x = val[pos]
+        if k == _DECIDE:
+            x += 1
+            ok = x < order
+        elif x:
+            ok = False
+        elif k == _FORCE:
+            # the forced value zeroes the balance at the step's vertex
+            vi = vertex[pos]
+            x = neg_t[sums[vi]] if head[pos] == vi else sums[vi]
+            ok = x != 0
+        else:  # _CHECK: nothing to apply, the sink absorbs x == 0
+            ok = sums[vertex[pos]] == 0
         if ok:
+            val[pos] = x
+            h = head[pos]
+            t = tail[pos]
+            sums[h] = add_t[sums[h]][x]
+            sums[t] = add_t[sums[t]][neg_t[x]]
             pos += 1
-        else:
-            trial[pos] = 0
-            pos -= 1
-            if pos >= 0 and applied[pos] is not None:
-                if applied[pos]:
-                    undo(*applied[pos])
-                applied[pos] = None
-    if pos < 0:
-        return None
-    for slot, entry in zip(plan, applied):
-        if entry:
-            ei, val = entry
-            out[edges_local[ei][0]] = val
-    return out
+            continue
+        val[pos] = 0
+        pos -= 1
+        if pos < 0:
+            return None
+        x = val[pos]
+        h = head[pos]
+        t = tail[pos]
+        sums[h] = add_t[sums[h]][neg_t[x]]
+        sums[t] = add_t[sums[t]][x]
+    return {edge[p]: val[p] for p in range(n) if kind[p] != _CHECK}

@@ -137,11 +137,11 @@ class CubicGraph:
     def _incidence(self) -> dict[int, tuple[Edge, ...]]:
         inc: dict[int, list[Edge]] = {v: [] for v in self.vertices}
         for e in self.edges:
-            if e.is_loop:
-                inc[e.a].append(e)
-            else:
-                for x in e.real_endpoints():
-                    inc[x].append(e)
+            a, b = e.a, e.b
+            if a is not DANGLING:
+                inc[a].append(e)
+            if b is not DANGLING and b != a:
+                inc[b].append(e)
         return {v: tuple(es) for v, es in inc.items()}
 
     def incident_edges(self, v: int) -> tuple[Edge, ...]:
@@ -152,11 +152,21 @@ class CubicGraph:
 
     def degree(self, v: int) -> int:
         """Number of edge-endpoint incidences at ``v`` (a loop counts twice)."""
-        return sum(2 if e.is_loop else 1 for e in self.incident_edges(v))
+        return sum(2 if e.a == e.b else 1 for e in self.incident_edges(v))
+
+    def degrees(self) -> dict[int, int]:
+        """Degree of every vertex, counted in one pass over the edges."""
+        degree = dict.fromkeys(self.vertices, 0)
+        for _, a, b in self.edges:
+            if a is not DANGLING:
+                degree[a] += 1
+            if b is not DANGLING:
+                degree[b] += 1
+        return degree
 
     @cached_property
     def is_cubic(self) -> bool:
-        return all(self.degree(v) == 3 for v in self.vertices)
+        return all(d == 3 for d in self.degrees().values())
 
     def neighbors(self, v: int) -> frozenset[int]:
         out = set()
@@ -198,7 +208,7 @@ class CubicGraph:
             while stack:
                 x = stack.pop()
                 for e in self._incidence[x]:
-                    w = e.other_endpoint(x)
+                    w = e.b if e.a == x else e.a
                     if w is not DANGLING and w not in comp:
                         comp.add(w)
                         stack.append(w)
@@ -210,9 +220,6 @@ class CubicGraph:
     def is_connected(self) -> bool:
         """True iff there is exactly one component.  The empty graph is not connected."""
         return len(self.components()) == 1
-
-    def degree_table(self) -> dict[int, int]:
-        return {v: self.degree(v) for v in sorted(self.vertices)}
 
     def max_edge_id(self) -> int:
         return max((e.id for e in self.edges), default=-1)

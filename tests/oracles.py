@@ -20,7 +20,25 @@ import numpy as np
 from snarkcrit.multigraph import DANGLING, CubicGraph
 from snarkcrit.structure import chordless_cycles
 
-_CHUNK = 1 << 15
+_LOW_DIGITS = 10  # a chunk enumerates the 3**10 settings of the first ten positions
+
+
+def _all_settings(m: int):
+    """All 3**m tuples over 1..3 in lexicographic order of the reversed tuple.
+
+    Yields one ``(m, chunk)`` array per chunk, one row per position: the low
+    rows run through every setting of the first positions, the high rows hold
+    one fixed setting of the rest.  The array is reused between chunks.
+    """
+    low = min(m, _LOW_DIGITS)
+    digits = np.empty((m, 3**low), dtype=np.int64)
+    codes = np.arange(3**low, dtype=np.int64)
+    for j in range(low):
+        digits[j] = codes // 3**j % 3 + 1
+    for high in range(3 ** (m - low)):
+        for j in range(low, m):
+            digits[j] = high // 3 ** (j - low) % 3 + 1
+        yield digits
 
 
 def _vertex_slots(graph: CubicGraph, edges) -> dict[int, list[tuple[int, int]]]:
@@ -45,16 +63,12 @@ def colorable_by_full_enumeration(graph: CubicGraph) -> bool:
     if m == 0:
         return True
     slots = _vertex_slots(graph, edges)
-    powers = np.array([3**j for j in range(m)], dtype=np.int64)
-    total = 3**m
-    for start in range(0, total, _CHUNK):
-        codes = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        digits = (codes[:, None] // powers[None, :]) % 3 + 1  # colors 1..3
-        ok = np.ones(len(codes), dtype=bool)
+    for digits in _all_settings(m):  # colors 1..3
+        ok = np.ones(digits.shape[1], dtype=bool)
         for v, incident in slots.items():
             positions = [p for p, _ in incident]
             for i, j in combinations(positions, 2):
-                ok &= digits[:, i] != digits[:, j]
+                ok &= digits[i] != digits[j]
         if ok.any():
             return True
     return False
@@ -124,23 +138,19 @@ def flow_exists_by_enumeration(graph: CubicGraph, group: str) -> bool:
     if m == 0:
         return True
     slots = _vertex_slots(graph, edges)
-    powers = np.array([3**j for j in range(m)], dtype=np.int64)
-    total = 3**m
-    for start in range(0, total, _CHUNK):
-        codes = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        digits = (codes[:, None] // powers[None, :]) % 3 + 1  # values 1..3
-        ok = np.ones(len(codes), dtype=bool)
+    for digits in _all_settings(m):  # values 1..3
+        ok = np.ones(digits.shape[1], dtype=bool)
         for v, incident in slots.items():
             if not incident:
                 continue
             if group == "Z2xZ2":
-                acc = np.zeros(len(codes), dtype=np.int64)
+                acc = np.zeros(digits.shape[1], dtype=np.int64)
                 for pos, _sign in incident:
-                    acc ^= digits[:, pos]
+                    acc ^= digits[pos]
             else:
-                acc = np.zeros(len(codes), dtype=np.int64)
+                acc = np.zeros(digits.shape[1], dtype=np.int64)
                 for pos, sign in incident:
-                    acc = (acc + sign * digits[:, pos]) % 4
+                    acc = (acc + sign * digits[pos]) % 4
             ok &= acc == 0
         if ok.any():
             return True

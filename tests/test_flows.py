@@ -153,7 +153,7 @@ class TestProperties:
             assert colorable == klein
 
 
-@given(multigraphs(max_vertices=6, max_edges=9))
+@given(multigraphs(max_vertices=6, max_edges=9, degree_cap=6))
 @settings(max_examples=100, deadline=None)
 def test_tutte_equivalence_small(g):
     z4 = nowhere_zero_flow(g, Z4) is not None
@@ -161,7 +161,7 @@ def test_tutte_equivalence_small(g):
     assert z4 == klein
 
 
-@given(multigraphs(max_vertices=6, max_edges=8))
+@given(multigraphs(max_vertices=6, max_edges=8, degree_cap=6))
 @settings(max_examples=80, deadline=None)
 def test_solver_agrees_with_enumeration(g):
     assert (nowhere_zero_flow(g, Z4) is not None) == flow_exists_by_enumeration(g, "Z4")
@@ -170,7 +170,7 @@ def test_solver_agrees_with_enumeration(g):
     )
 
 
-@given(multigraphs(max_vertices=7, max_edges=10))
+@given(multigraphs(max_vertices=7, max_edges=10, degree_cap=6))
 @settings(max_examples=80, deadline=None)
 def test_witnesses_are_valid(g):
     for group in (Z4, KLEIN):

@@ -22,10 +22,14 @@ from strategies import multigraphs
 
 
 def degree_balance(graph: CubicGraph) -> bool:
-    """Sum of degrees equals twice the attached incidences."""
+    """Sum of degrees equals twice the attached incidences.
+
+    Also checks that the one-pass ``degrees`` agrees with ``degree``.
+    """
     attached = sum(len(e.real_endpoints()) for e in graph.edges if not e.is_loop)
     attached += 2 * sum(1 for e in graph.edges if e.is_loop)
-    return sum(graph.degree(v) for v in graph.vertices) == attached
+    per_vertex = {v: graph.degree(v) for v in graph.vertices}
+    return graph.degrees() == per_vertex and sum(per_vertex.values()) == attached
 
 
 class TestBuildGraph:
