@@ -11,12 +11,12 @@ from .coloring import (
     EdgeColoring,
     KleinColor,
     chromatic_index_is_4,
-    coloring_as_flow,
     three_edge_colorable,
 )
 from .criticality import (
     ClassificationRecord,
     CoincidenceCertificate,
+    DecisionTable,
     EquivalenceViolationError,
     LocalEquivalenceCertificate,
     NotASnarkError,

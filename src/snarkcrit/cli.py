@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, replace
@@ -31,6 +32,7 @@ from typing import Iterable, Iterator, Optional
 
 from .criticality import (
     ClassificationRecord,
+    DecisionTable,
     EquivalenceViolationError,
     classify,
     snark_status,
@@ -102,14 +104,20 @@ def evaluate(command: str, index: int, graph: CubicGraph) -> Result:
     status = snark_status(graph)
     if not status.verdict:
         return Result(index, line=f"{head}refused, not a snark ({status.reason})")
+    table = DecisionTable(graph, status)
     if command == "verify-local":
-        cert = verify_local_equivalence(graph)
+        cert = verify_local_equivalence(graph, table=table)
         degenerate = len(cert.degenerate_pairs)
         note = f", {degenerate} degenerate pair(s)" if degenerate else ""
         if cert.consistent:
             body = f"{cert.pair_count} pairs consistent{note}"
         else:
-            bad = [(p.u, p.v) for p in cert.inconsistent_pairs]
+            bad = "; ".join(
+                f"({r.pair.u}, {r.pair.v}) "
+                + " ".join(f"{k}={_bool(x)}" for k, x in r.statements().items())
+                for r in cert.reports
+                if not r.consistent
+            )
             body = f"INCONSISTENT pairs {bad}{note}"
         return Result(
             index,
@@ -118,7 +126,7 @@ def evaluate(command: str, index: int, graph: CubicGraph) -> Result:
             pairs=cert.pair_count,
         )
     if command == "verify-coincidence":
-        cert = verify_classifier_coincidence(graph)
+        cert = verify_classifier_coincidence(graph, table=table)
         agree = cert.consistent
         body = (
             f"critical={_bool(cert.critical)} "
@@ -129,7 +137,7 @@ def evaluate(command: str, index: int, graph: CubicGraph) -> Result:
             f"flow_micros={cert.flow_path_micros}"
         )
     else:  # verify-strong
-        cert = strong_certificate(graph)
+        cert = strong_certificate(graph, table=table)
         agree = cert.routes_agree
         body = (
             f"strong={_bool(cert.is_strong)} routes_agree={_bool(agree)} "
@@ -175,19 +183,30 @@ def _results(config: RunConfig) -> tuple[Iterator[Result], int]:
 def _run_pool(config: RunConfig, items: list[tuple[int, str]]) -> Iterator[Result]:
     """Evaluate graph6 items in input order, in a process pool when ``jobs`` > 1.
 
-    Closing this generator early (``--fail-fast``) cancels the chunks that
-    no worker has started yet.
+    The pool gets chunks through a window of ``2 * jobs`` futures, so closing
+    this generator early (``--fail-fast``) leaves at most that many chunks
+    to finish or cancel.
     """
-    work = partial(_work, config.command)
     if config.jobs == 1:
-        yield from map(work, items)
+        yield from map(partial(_work, config.command), items)
         return
+    size = max(1, len(items) // (config.jobs * 4))
+    chunks = [items[i : i + size] for i in range(0, len(items), size)]
     pool = ProcessPoolExecutor(max_workers=config.jobs)
+    window: deque = deque()
     try:
-        chunk = max(1, len(items) // (config.jobs * 4))
-        yield from pool.map(work, items, chunksize=chunk)
+        for chunk in chunks:
+            window.append(pool.submit(_work_chunk, config.command, chunk))
+            if len(window) == 2 * config.jobs:
+                yield from window.popleft().result()
+        while window:
+            yield from window.popleft().result()
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def _work_chunk(command: str, chunk: list[tuple[int, str]]) -> list[Result]:
+    return [_work(command, item) for item in chunk]
 
 
 def _input_line(path: str, line_number: int) -> str:

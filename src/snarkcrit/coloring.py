@@ -7,16 +7,21 @@ from per-vertex used-color bitmasks.  Degree-1 and degree-2 vertices (from
 dangling edges or edge deletions) only impose pairwise distinctness.
 
 Any loop makes its vertex uncolorable, so graphs containing loops are
-rejected outright.  Connected components are solved independently.
+rejected outright.  Connected components are solved independently, each
+found by the BFS that orders its edges.  The search is table-driven: an
+edge's state (its try order and its current color) and the colors busy at
+its endpoints index the next state, so a try costs one lookup.  A hint,
+such as the coloring of a sibling derived graph, only picks each edge's
+try order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Optional
+from typing import Mapping, Optional
 
-from .multigraph import DANGLING, CubicGraph, GraphError
+from .multigraph import DANGLING, CubicGraph, Edge, GraphError
 
 
 class KleinColor(IntEnum):
@@ -59,23 +64,19 @@ class EdgeColoring:
                 return False
         return True
 
-    def permuted(self, mapping: dict[int, int]) -> "EdgeColoring":
-        """Apply a permutation of the three colors."""
-        if sorted(mapping) != [1, 2, 3] or sorted(mapping.values()) != [1, 2, 3]:
-            raise GraphError("mapping must permute the colors 1, 2, 3")
-        return EdgeColoring(
-            self.graph,
-            {eid: KleinColor(mapping[int(c)]) for eid, c in self.assignment.items()},
-        )
 
-
-def three_edge_colorable(graph: CubicGraph) -> Optional[EdgeColoring]:
+def three_edge_colorable(
+    graph: CubicGraph, *, hint: Optional[Mapping[int, int]] = None
+) -> Optional[EdgeColoring]:
     """Find a proper 3-edge-coloring, or None if there is none.
 
     Vertices of degree above three are an input error.  The search runs per
     component, visiting edges in BFS order from a maximum-degree vertex;
     the start vertex's edges are pinned to fixed colors, which quotients
-    away the six color permutations.
+    away the six color permutations.  ``hint`` (edge id -> color, say a
+    coloring of a sibling graph) only changes the order of tries: an edge
+    tries its hinted color first, after the hint is relabelled so that it
+    agrees with the pinned colors.  The search stays complete either way.
     """
     degree = graph.degrees()
     for v, d in degree.items():
@@ -87,50 +88,67 @@ def three_edge_colorable(graph: CubicGraph) -> Optional[EdgeColoring]:
     assignment: dict[int, KleinColor] = {}
     for e in graph.free_edges():
         assignment[e.id] = KleinColor.C01  # no vertex constrains a free edge
-    for comp in graph.components():
-        part = _color_component(graph, comp, degree)
+    # each vertex not yet reached starts a component; in this order it is
+    # the smallest vertex of maximum degree there
+    slot: dict[int, int] = {}
+    used: list[int] = []
+    for start in sorted(degree, key=lambda v: (-degree[v], v)):
+        if start in slot:
+            continue
+        order = _edge_order(graph, start, slot, used)
+        part = _color_component(order, degree[start], slot, used, hint)
         if part is None:
             return None
         assignment.update(part)
     return EdgeColoring(graph, assignment)
 
 
-def chromatic_index_is_4(graph: CubicGraph) -> bool:
+def chromatic_index_is_4(
+    graph: CubicGraph, *, hint: Optional[Mapping[int, int]] = None
+) -> bool:
     """True iff the graph has no proper 3-edge-coloring."""
-    return three_edge_colorable(graph) is None
-
-
-def coloring_as_flow(coloring: EdgeColoring):
-    """Reinterpret a proper coloring as a Z2 x Z2 flow on the same graph.
-
-    The edge values are unchanged; orientation is immaterial because every
-    Klein element is self-inverse.  Conservation holds at every vertex of
-    degree three (the three distinct nonzero elements XOR to zero); at
-    vertices of lower degree it generally does not.
-    """
-    from .flows import KLEIN, FlowAssignment
-
-    orientation = {e.id: e.b for e in coloring.graph.edges if e.id in coloring.assignment}
-    values = {eid: int(c) for eid, c in coloring.assignment.items()}
-    return FlowAssignment(coloring.graph, KLEIN, orientation, values)
+    return three_edge_colorable(graph, hint=hint) is None
 
 
 # ----------------------------------------------------------------------
 # solver internals
 
 
-def _edge_order(
-    graph: CubicGraph, comp: frozenset[int], degree: dict[int, int]
-) -> tuple[list, int]:
-    """BFS edge order over one component, starting at a max-degree vertex.
+def _successors() -> tuple[int, ...]:
+    """Transition table of the color tries, indexed by ``state << 4 | busy``.
 
-    Returns the ordered edge list and the number of leading edges incident
-    with the start vertex (those get pinned colors).
+    An edge's state is ``4 * h + c``: ``h`` names its try order (0 and 1:
+    1, 2, 3; 2: 2, 1, 3; 3: 3, 1, 2) and ``c`` the color it holds, 0 for
+    none.  ``busy`` holds a bit ``1 << c`` for each color at its endpoints.
+    The entry is the state of the next free color in the try order, or
+    ``4 * h`` when there is none left.
     """
-    start = min(comp, key=lambda v: (-degree[v], v))
+    tries = ((1, 2, 3), (1, 2, 3), (2, 1, 3), (3, 1, 2))
+    table = [0] * 256
+    for h, seq in enumerate(tries):
+        for c in range(4):
+            rest = seq[seq.index(c) + 1 :] if c else seq
+            for busy in range(16):
+                free = [x for x in rest if not busy >> x & 1]
+                table[(4 * h + c) << 4 | busy] = 4 * h + (free[0] if free else 0)
+    return tuple(table)
+
+
+_NEXT = _successors()
+
+
+def _edge_order(
+    graph: CubicGraph, start: int, slot: dict[int, int], used: list[int]
+) -> list[Edge]:
+    """BFS edge order over the component of ``start``.
+
+    Each vertex reached gets the next slot of ``used``, its used-color
+    bitmask.
+    """
+    slot[start] = len(used)
+    used.append(0)
     order = []
     listed = set()
-    seen = {start}
     queue = [start]
     for v in queue:
         for e in sorted(graph.incident_edges(v)):
@@ -138,68 +156,89 @@ def _edge_order(
                 listed.add(e.id)
                 order.append(e)
             w = e.b if e.a == v else e.a
-            if w is not DANGLING and w not in seen:
-                seen.add(w)
+            if w is not DANGLING and w not in slot:
+                slot[w] = len(used)
+                used.append(0)
                 queue.append(w)
-    return order, degree[start]
+    return order
+
+
+def _relabelling(
+    order: list[Edge], pinned: int, hint: Mapping[int, int]
+) -> dict[int, int]:
+    """The color permutation taking the hint's colors on the pinned edges to 1, 2, 3."""
+    perm: dict[int, int] = {}
+    for pos in range(pinned):
+        h = hint.get(order[pos].id)
+        if h in (1, 2, 3) and h not in perm:
+            perm[h] = pos + 1
+    spare = [c for c in (1, 2, 3) if c not in perm.values()]
+    for h in (1, 2, 3):
+        if h not in perm:
+            perm[h] = spare.pop(0)
+    return perm
 
 
 def _color_component(
-    graph: CubicGraph, comp: frozenset[int], degree: dict[int, int]
+    order: list[Edge],
+    pinned: int,
+    slot: dict[int, int],
+    used: list[int],
+    hint: Optional[Mapping[int, int]],
 ) -> Optional[dict[int, KleinColor]]:
-    order, pinned = _edge_order(graph, comp, degree)
     m = len(order)
     if m == 0:
         return {}
 
-    # one used-color bitmask per vertex, and one more per dangling edge for
-    # its detached side, which thus never conflicts with anything
-    index = {v: i for i, v in enumerate(comp)}
-    slots = len(index)
+    # the detached side of a dangling edge gets a used-color slot of its
+    # own, which thus never conflicts with anything
     end_a: list[int] = []
     end_b: list[int] = []
     for _, a, b in order:
         if a is DANGLING:
-            a, slots = slots, slots + 1
+            a = len(used)
+            used.append(0)
         else:
-            a = index[a]
+            a = slot[a]
         if b is DANGLING:
-            b, slots = slots, slots + 1
+            b = len(used)
+            used.append(0)
         else:
-            b = index[b]
+            b = slot[b]
         end_a.append(a)
         end_b.append(b)
-    used = [0] * slots
+
+    # state[p] is edge p's state in _NEXT: its try order and the color it
+    # holds, so a retry resumes after that color
+    if hint:
+        perm = _relabelling(order, pinned, hint)
+        state = [4 * perm.get(hint.get(e.id), 0) for e in order]
+    else:
+        state = [0] * m
 
     # the start vertex's edges take colors 1, 2, 3 in turn; with nothing
     # else colored they cannot conflict
-    color = [0] * m
     for pos in range(pinned):
-        color[pos] = c = pos + 1
+        state[pos] = c = pos + 1
         used[end_a[pos]] |= 1 << c
         used[end_b[pos]] |= 1 << c
 
-    # backtracking search; color[p] is the color edge p last took (0 before
-    # its first try), so a retry resumes from the next color
     pos = pinned
     while pos < m:
         a = end_a[pos]
         b = end_b[pos]
-        busy = used[a] | used[b]
-        c = color[pos] + 1
-        while c <= 3 and busy >> c & 1:
-            c += 1
-        if c <= 3:
-            color[pos] = c
+        s = _NEXT[state[pos] << 4 | used[a] | used[b]]
+        state[pos] = s
+        c = s & 3
+        if c:
             used[a] |= 1 << c
             used[b] |= 1 << c
             pos += 1
             continue
-        color[pos] = 0
         pos -= 1
         if pos < pinned:
             return None
-        bit = 1 << color[pos]
+        bit = 1 << (state[pos] & 3)
         used[end_a[pos]] ^= bit
         used[end_b[pos]] ^= bit
-    return {e.id: KLEIN_COLORS[c - 1] for e, c in zip(order, color)}
+    return {e.id: KLEIN_COLORS[(s & 3) - 1] for e, s in zip(order, state)}

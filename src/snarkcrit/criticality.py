@@ -23,19 +23,31 @@ The classifiers quantify these statements over adjacent pairs (critical,
 4-edge-critical) or over all pairs (bicritical, 4-vertex-critical); the
 colorability route and the flow route never share a decision procedure, so
 their coincidence is a meaningful cross-check of both solvers.
+
+Every derived-graph decision about one input graph goes through one
+:class:`DecisionTable`, keyed by (surgery, pair or edge, solver), so the
+classifiers that share a statement share its verdict instead of deciding it
+again.  The table also hands each solver call the last witness of the same
+surgery and solver as a hint for its value order; the solver is part of
+every key, so no result crosses from one route into the other.
+``classify`` and the CLI's ``verify-*`` path build one table per graph and
+pass it to the classifiers, which build their own when called alone.  They
+look up the solvers and surgery operations as globals of this module, where
+the benchmark's tracer wraps them.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from itertools import combinations
 from typing import Optional, Union
 
 from .coloring import EdgeColoring, chromatic_index_is_4, three_edge_colorable
 from .flows import Z4, FlowAssignment, flow_on_identification, nowhere_zero_flow
 from .multigraph import (
+    DANGLING,
     CubicGraph,
     NonSuppressibleError,
     VertexPair,
@@ -55,6 +67,10 @@ class EquivalenceViolationError(RuntimeError):
     """Two routes that are provably equivalent disagreed; this is a bug."""
 
 
+def _bool(x) -> str:
+    return "true" if x else "false"
+
+
 # ----------------------------------------------------------------------
 # snark recognition
 
@@ -65,7 +81,6 @@ class SnarkStatus:
     reason: Optional[str]  # populated when the verdict is False
 
 
-@lru_cache(maxsize=512)
 def snark_status(graph: CubicGraph) -> SnarkStatus:
     """Decide snarkness with the reason for a negative verdict.
 
@@ -96,10 +111,126 @@ def is_snark(graph: CubicGraph) -> bool:
     return snark_status(graph).verdict
 
 
-def _require_snark(graph: CubicGraph) -> None:
-    status = snark_status(graph)
-    if not status.verdict:
-        raise NotASnarkError(f"not a snark: {status.reason}")
+# ----------------------------------------------------------------------
+# the decision table
+
+# the surgeries and solvers that name a decision
+REMOVAL = "removal"
+IDENTIFICATION = "identification"
+DELETION = "deletion"
+CONTRACTION = "contraction"
+SUPPRESSION = "suppression"
+COLORING = "coloring"
+FLOW = "flow"
+
+Witness = Union[EdgeColoring, FlowAssignment]
+
+
+class DecisionTable:
+    """Every derived-graph decision about one parent graph, each made once.
+
+    A verdict is keyed by (surgery, pair or edge id, solver).  Besides the
+    verdicts the table keeps only the snark status of the parent and, per
+    (surgery, solver), the assignment of the last witness found, which the
+    next call of that solver on that surgery gets as its hint.  Witnesses
+    and derived graphs are returned to the caller, never stored.
+    """
+
+    def __init__(self, graph: CubicGraph, status: Optional[SnarkStatus] = None):
+        self.graph = graph
+        self._status = status
+        self.verdicts: dict[tuple, bool] = {}
+        self._last: dict[tuple[str, str], dict[int, int]] = {}
+
+    @property
+    def status(self) -> SnarkStatus:
+        if self._status is None:
+            self._status = snark_status(self.graph)
+        return self._status
+
+    @cached_property
+    def pairs(self) -> list[VertexPair]:
+        """All vertex pairs, lexicographic by vertex id, so reports are reproducible."""
+        return [VertexPair(u, v) for u, v in combinations(sorted(self.graph.vertices), 2)]
+
+    @cached_property
+    def adjacent_pairs(self) -> list[VertexPair]:
+        """The pairs joined by an edge, in the same order."""
+        ends = {
+            (min(a, b), max(a, b))
+            for _, a, b in self.graph.edges
+            if a is not DANGLING and b is not DANGLING and a != b
+        }
+        return [VertexPair(u, v) for u, v in sorted(ends)]
+
+    def require_snark(self) -> None:
+        if not self.status.verdict:
+            raise NotASnarkError(f"not a snark: {self.status.reason}")
+
+    def decide(self, surgery: str, where, solver: str) -> Optional[Witness]:
+        """Run ``solver`` on one derived graph, record the verdict, return the witness.
+
+        ``where`` is a vertex pair for removal and identification, an edge
+        id otherwise.  Suppression raises :class:`NonSuppressibleError`
+        where it is undefined.
+        """
+        route = (surgery, solver)
+        hint = self._last.get(route)
+        graph = self.graph
+        if surgery == IDENTIFICATION:
+            witness = flow_on_identification(graph, where, Z4, hint=hint)
+        else:
+            if surgery == REMOVAL:
+                derived = remove_vertex_pair(graph, where)
+            elif surgery == DELETION:
+                derived = delete_edge(graph, where)
+            elif surgery == CONTRACTION:
+                derived = contract_edge(graph, where)
+            elif surgery == SUPPRESSION:
+                derived = suppress_edge(graph, where)
+            else:
+                raise ValueError(f"unknown surgery {surgery!r}")
+            if solver == COLORING:
+                witness = three_edge_colorable(derived, hint=hint)
+            else:
+                witness = nowhere_zero_flow(derived, Z4, hint=hint)
+        self.verdicts[(surgery, where, solver)] = witness is not None
+        if witness is not None:
+            self._last[route] = (
+                witness.assignment if solver == COLORING else witness.values
+            )
+        return witness
+
+    def verdict(self, surgery: str, where, solver: str) -> bool:
+        """The recorded verdict, deciding it first if it is new."""
+        key = (surgery, where, solver)
+        if key not in self.verdicts:
+            self.decide(surgery, where, solver)
+        return self.verdicts[key]
+
+    def uncolorable_after_removal(self, pair: VertexPair) -> bool:
+        """Chromatic index 4 after removing ``pair``, from the removal coloring verdict.
+
+        For the scans that need no witness (adjacent pairs, strength): a
+        new verdict is decided through ``chromatic_index_is_4``, which keeps
+        no witness to hint the next call with.
+        """
+        key = (REMOVAL, pair, COLORING)
+        if key not in self.verdicts:
+            hint = self._last.get((REMOVAL, COLORING))
+            removed = remove_vertex_pair(self.graph, pair)
+            self.verdicts[key] = not chromatic_index_is_4(removed, hint=hint)
+        return not self.verdicts[key]
+
+
+def _snark_table(graph: CubicGraph, table: Optional[DecisionTable]) -> DecisionTable:
+    """The caller's table for ``graph``, or a new one; refuses non-snarks."""
+    if table is None:
+        table = DecisionTable(graph)
+    elif table.graph is not graph:
+        raise ValueError("the decision table belongs to another graph")
+    table.require_snark()
+    return table
 
 
 # ----------------------------------------------------------------------
@@ -165,38 +296,39 @@ class PairReport:
         return len(set(self.statements().values())) <= 1
 
 
-def pair_status(graph: CubicGraph, pair: VertexPair) -> PairReport:
+def pair_status(
+    graph: CubicGraph, pair: VertexPair, *, table: Optional[DecisionTable] = None
+) -> PairReport:
     """Evaluate every applicable statement for one pair of a snark.
 
-    Each statement runs through its own decision path; witnesses are kept.
-    Refuses non-snarks, whose pairs the equivalence says nothing about.
+    Each statement runs through its own decision path; witnesses are kept,
+    so every statement is decided afresh.  Refuses non-snarks, whose pairs
+    the equivalence says nothing about.
     """
-    _require_snark(graph)
-    return _pair_status_unchecked(graph, pair)
+    return _pair_report(_snark_table(graph, table), pair)
 
 
-def _pair_status_unchecked(graph: CubicGraph, pair: VertexPair) -> PairReport:
+def _pair_report(table: DecisionTable, pair: VertexPair) -> PairReport:
+    graph = table.graph
     u, v = pair
-    removed = remove_vertex_pair(graph, pair)
-    removal_coloring = three_edge_colorable(removed)
-    removal_flow = nowhere_zero_flow(removed, Z4)
-    identification_flow = flow_on_identification(graph, pair, Z4)
+    removal_coloring = table.decide(REMOVAL, pair, COLORING)
+    removal_flow = table.decide(REMOVAL, pair, FLOW)
+    identification_flow = table.decide(IDENTIFICATION, pair, FLOW)
 
     connecting = graph.connecting_edges(u, v)
     degenerate = bool(graph.loops_at(u) or graph.loops_at(v) or len(connecting) > 1)
 
     per_edge = []
     for eid in connecting:
-        deletion_flow = nowhere_zero_flow(delete_edge(graph, eid), Z4)
-        contraction_flow = nowhere_zero_flow(contract_edge(graph, eid), Z4)
+        deletion_flow = table.decide(DELETION, eid, FLOW)
+        contraction_flow = table.decide(CONTRACTION, eid, FLOW)
         try:
-            suppressed = suppress_edge(graph, eid)
+            suppression_coloring = table.decide(SUPPRESSION, eid, COLORING)
         except NonSuppressibleError:
             suppressible = False
             suppression_coloring = None
         else:
             suppressible = True
-            suppression_coloring = three_edge_colorable(suppressed)
         per_edge.append(
             EdgeStatements(
                 edge_id=eid,
@@ -239,55 +371,38 @@ def _pair_status_unchecked(graph: CubicGraph, pair: VertexPair) -> PairReport:
 
 
 # ----------------------------------------------------------------------
-# classifiers
-
-# pair enumeration is lexicographic by vertex id, so reports are reproducible
+# classifiers; each reads its statements from the table
 
 
-def _all_pairs(graph: CubicGraph) -> list[VertexPair]:
-    return [VertexPair(u, v) for u, v in combinations(sorted(graph.vertices), 2)]
-
-
-def _adjacent_pairs(graph: CubicGraph) -> list[VertexPair]:
-    return [p for p in _all_pairs(graph) if graph.adjacent(p.u, p.v)]
-
-
-def is_critical(graph: CubicGraph) -> bool:
+def is_critical(graph: CubicGraph, *, table: Optional[DecisionTable] = None) -> bool:
     """Every adjacent pair's removal leaves a 3-edge-colorable graph."""
-    _require_snark(graph)
-    return all(
-        three_edge_colorable(remove_vertex_pair(graph, p)) is not None
-        for p in _adjacent_pairs(graph)
-    )
+    table = _snark_table(graph, table)
+    return not any(table.uncolorable_after_removal(p) for p in table.adjacent_pairs)
 
 
-def is_bicritical(graph: CubicGraph) -> bool:
+def is_bicritical(graph: CubicGraph, *, table: Optional[DecisionTable] = None) -> bool:
     """Every distinct pair's removal leaves a 3-edge-colorable graph."""
-    _require_snark(graph)
-    return all(
-        three_edge_colorable(remove_vertex_pair(graph, p)) is not None
-        for p in _all_pairs(graph)
-    )
+    table = _snark_table(graph, table)
+    return all(table.verdict(REMOVAL, p, COLORING) for p in table.pairs)
 
 
-def is_4_edge_critical(graph: CubicGraph) -> bool:
+def is_4_edge_critical(
+    graph: CubicGraph, *, table: Optional[DecisionTable] = None
+) -> bool:
     """Every adjacent pair's identification admits a nowhere-zero 4-flow.
 
     Decided purely through the flow solver, independently of is_critical.
     """
-    _require_snark(graph)
-    return all(
-        flow_on_identification(graph, p, Z4) is not None
-        for p in _adjacent_pairs(graph)
-    )
+    table = _snark_table(graph, table)
+    return all(table.verdict(IDENTIFICATION, p, FLOW) for p in table.adjacent_pairs)
 
 
-def is_4_vertex_critical(graph: CubicGraph) -> bool:
+def is_4_vertex_critical(
+    graph: CubicGraph, *, table: Optional[DecisionTable] = None
+) -> bool:
     """Every distinct pair's identification admits a nowhere-zero 4-flow."""
-    _require_snark(graph)
-    return all(
-        flow_on_identification(graph, p, Z4) is not None for p in _all_pairs(graph)
-    )
+    table = _snark_table(graph, table)
+    return all(table.verdict(IDENTIFICATION, p, FLOW) for p in table.pairs)
 
 
 # ----------------------------------------------------------------------
@@ -347,16 +462,18 @@ class StrongCertificate:
         return tuple(s.edge_id for s in self.per_edge if not s.suppressible)
 
 
-def strong_certificate(graph: CubicGraph) -> StrongCertificate:
+def strong_certificate(
+    graph: CubicGraph, *, table: Optional[DecisionTable] = None
+) -> StrongCertificate:
     """Compute strength by both routes, edge by edge.
 
     Route one suppresses each non-loop edge and asks whether the result is
     still a snark; route two removes the edge's endpoint pair and asks
-    whether the rest has chromatic index 4.  Loops are skipped: they can
-    neither be suppressed nor mapped to a vertex pair.
+    whether the rest has chromatic index 4, a verdict the table shares with
+    the coloring route.  Loops are skipped: they can neither be suppressed
+    nor mapped to a vertex pair.
     """
-    _require_snark(graph)
-    removal_cache: dict[VertexPair, bool] = {}
+    table = _snark_table(graph, table)
     statuses = []
     loops_skipped = 0
     for e in graph.edges:
@@ -364,8 +481,7 @@ def strong_certificate(graph: CubicGraph) -> StrongCertificate:
             loops_skipped += 1
             continue
         pair = VertexPair(e.a, e.b)
-        if pair not in removal_cache:
-            removal_cache[pair] = chromatic_index_is_4(remove_vertex_pair(graph, pair))
+        removal_uncolorable = table.uncolorable_after_removal(pair)
         try:
             suppressed = suppress_edge(graph, e.id)
         except NonSuppressibleError:
@@ -380,7 +496,7 @@ def strong_certificate(graph: CubicGraph) -> StrongCertificate:
                 pair=pair,
                 suppressible=suppressible,
                 suppression_is_snark=suppressed_snark,
-                removal_uncolorable=removal_cache[pair],
+                removal_uncolorable=removal_uncolorable,
             )
         )
     return StrongCertificate(
@@ -390,12 +506,14 @@ def strong_certificate(graph: CubicGraph) -> StrongCertificate:
     )
 
 
-def is_strong(graph: CubicGraph) -> bool:
+def is_strong(graph: CubicGraph, *, table: Optional[DecisionTable] = None) -> bool:
     """True iff suppressing any edge leaves a snark; both routes must agree."""
-    cert = strong_certificate(graph)
+    cert = strong_certificate(graph, table=table)
     if not cert.routes_agree:
         raise EquivalenceViolationError(
-            "suppression route and adjacent-pair route disagree on strength"
+            "suppression route and adjacent-pair route disagree on strength: "
+            f"strong={_bool(cert.suppression_route)} by suppression, "
+            f"strong={_bool(cert.pair_route)} by adjacent pairs"
         )
     return cert.is_strong
 
@@ -426,14 +544,16 @@ class LocalEquivalenceCertificate:
         return tuple(r.pair for r in self.reports if r.degenerate)
 
 
-def verify_local_equivalence(graph: CubicGraph) -> LocalEquivalenceCertificate:
+def verify_local_equivalence(
+    graph: CubicGraph, *, table: Optional[DecisionTable] = None
+) -> LocalEquivalenceCertificate:
     """Check that the applicable statements agree on every pair of a snark.
 
     Never exits early: the certificate exists to confirm agreement
     everywhere.  Any inconsistent pair signals a solver bug.
     """
-    _require_snark(graph)
-    reports = tuple(_pair_status_unchecked(graph, p) for p in _all_pairs(graph))
+    table = _snark_table(graph, table)
+    reports = tuple(_pair_report(table, p) for p in table.pairs)
     return LocalEquivalenceCertificate(order=graph.order, reports=reports)
 
 
@@ -459,20 +579,34 @@ class CoincidenceCertificate:
     def consistent(self) -> bool:
         return self.critical_coincides and self.bicritical_coincides
 
+    def disagreements(self) -> tuple[str, ...]:
+        """Each pair of coinciding classifiers that disagrees, with both values."""
+        pairs = (
+            ("critical", self.critical, "4-edge-critical", self.edge_flow_critical),
+            ("bicritical", self.bicritical, "4-vertex-critical", self.vertex_flow_critical),
+        )
+        return tuple(
+            f"{a}={_bool(x)} but {b}={_bool(y)}" for a, x, b, y in pairs if x != y
+        )
 
-def verify_classifier_coincidence(graph: CubicGraph) -> CoincidenceCertificate:
+
+def verify_classifier_coincidence(
+    graph: CubicGraph, *, table: Optional[DecisionTable] = None
+) -> CoincidenceCertificate:
     """Run both classifier routes and time them against each other.
 
     The coloring route needs no orientation bookkeeping and forces each
     vertex's third color, so it is expected, not required, to be faster.
     """
-    _require_snark(graph)
+    table = _snark_table(graph, table)
     t0 = time.perf_counter()
-    critical = is_critical(graph)
-    bicritical = is_bicritical(graph) if critical else False
+    critical = is_critical(graph, table=table)
+    bicritical = is_bicritical(graph, table=table) if critical else False
     t1 = time.perf_counter()
-    edge_flow_critical = is_4_edge_critical(graph)
-    vertex_flow_critical = is_4_vertex_critical(graph) if edge_flow_critical else False
+    edge_flow_critical = is_4_edge_critical(graph, table=table)
+    vertex_flow_critical = (
+        is_4_vertex_critical(graph, table=table) if edge_flow_critical else False
+    )
     t2 = time.perf_counter()
     return CoincidenceCertificate(
         order=graph.order,
@@ -512,11 +646,12 @@ def classify(graph: CubicGraph, graph_index: int = 0) -> ClassificationRecord:
     """Produce the full record for one graph.
 
     Non-snarks get structural data and None for every criticality verdict;
-    the booleans would not mean anything for them.
+    the booleans would not mean anything for them.  The classifiers share
+    one decision table, which keeps verdicts only.
     """
     profile = structure_profile(graph)
-    status = snark_status(graph)
-    if not status.verdict:
+    table = DecisionTable(graph, snark_status(graph))
+    if not table.status.verdict:
         return ClassificationRecord(
             graph_index=graph_index,
             order=graph.order,
@@ -532,12 +667,13 @@ def classify(graph: CubicGraph, graph_index: int = 0) -> ClassificationRecord:
             coloring_path_micros=None,
             flow_path_micros=None,
         )
-    cert = verify_classifier_coincidence(graph)
+    cert = verify_classifier_coincidence(graph, table=table)
     if not cert.consistent:
         raise EquivalenceViolationError(
-            "criticality classifiers disagree between the coloring and flow routes"
+            "criticality classifiers disagree between the coloring and flow routes: "
+            + "; ".join(cert.disagreements())
         )
-    strong = is_strong(graph)
+    strong = is_strong(graph, table=table)
     return ClassificationRecord(
         graph_index=graph_index,
         order=graph.order,

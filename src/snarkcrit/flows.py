@@ -15,13 +15,17 @@ each subtree contiguous just before its root, so when a forced value fails
 the search backtracks into the decisions made inside that subtree, the
 ones that fixed it.  A forced identity value prunes the branch, so bridges
 of dangling-free graphs fail immediately.  Group arithmetic is
-table-driven, which keeps the solver generic over the two groups.
+table-driven, which keeps the solver generic over the two groups.  Each
+component is found by the DFS that builds its tree.  A hint, such as the
+flow on a sibling derived graph (surgery keeps edge ids), puts each
+decided edge's hinted value first among its tries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import Mapping, Optional
 
 from .multigraph import (
     DANGLING,
@@ -53,6 +57,26 @@ class FlowGroup:
 
     def nonzero(self) -> tuple[int, ...]:
         return tuple(range(1, self.order))
+
+    @cached_property
+    def tries(self) -> tuple[tuple[int, ...], ...]:
+        """Successor tables of the value order on a decided edge, one per hint.
+
+        ``tries[h][x]`` is the value tried after ``x`` on an edge whose
+        hinted value ``h`` goes first (``h`` = 0: no hint, values in
+        increasing order); ``tries[h][0]`` is the first value and 0 follows
+        the last.
+        """
+        tables = []
+        for h in range(self.order):
+            succ = [0] * self.order
+            prev = 0
+            first = (h,) if h else ()
+            for x in first + tuple(x for x in self.nonzero() if x != h):
+                succ[prev] = x
+                prev = x
+            tables.append(tuple(succ))
+        return tuple(tables)
 
     def __repr__(self) -> str:
         return f"FlowGroup({self.name})"
@@ -88,17 +112,6 @@ class FlowAssignment:
     def is_nowhere_zero(self) -> bool:
         return all(v != 0 for v in self.values.values())
 
-    def with_edge_reversed(self, edge_id: int) -> "FlowAssignment":
-        """Flip one edge's orientation and negate its value."""
-        e = self.graph.edge(edge_id)
-        head = self.orientation[edge_id]
-        new_head = e.a if head == e.b else e.b
-        orientation = dict(self.orientation)
-        orientation[edge_id] = new_head
-        values = dict(self.values)
-        values[edge_id] = self.group.neg(values[edge_id])
-        return FlowAssignment(self.graph, self.group, orientation, values)
-
 
 def verify_kirchhoff(graph: CubicGraph, flow: FlowAssignment) -> bool:
     """True iff conservation holds at every vertex of ``graph``.
@@ -126,20 +139,29 @@ def verify_kirchhoff(graph: CubicGraph, flow: FlowAssignment) -> bool:
     return all(s == 0 for s in sums.values())
 
 
-def nowhere_zero_flow(graph: CubicGraph, group: FlowGroup) -> Optional[FlowAssignment]:
+def nowhere_zero_flow(
+    graph: CubicGraph, group: FlowGroup, *, hint: Optional[Mapping[int, int]] = None
+) -> Optional[FlowAssignment]:
     """Find a nowhere-zero flow in the given group, or None if there is none.
 
     Components are solved independently.  Loops and free edges take the
     first nonzero element; dangling edges are free variables constrained
-    only at their attached vertex, oriented outward.
+    only at their attached vertex, oriented outward.  ``hint`` (edge id ->
+    value, say a flow on a sibling graph) only changes the order of tries:
+    a decided edge tries its hinted value first.  The search stays complete
+    either way.
     """
     values: dict[int, int] = {}
     orientation = {e.id: e.b for e in graph.edges}
     for e in graph.edges:
         if e.is_loop or e.is_free:
             values[e.id] = group.nonzero()[0]
-    for comp in graph.components():
-        part = _flow_component(graph, comp, group)
+    # each vertex not yet reached roots a component: its smallest vertex
+    seen: set[int] = set()
+    for root in sorted(graph.vertices):
+        if root in seen:
+            continue
+        part = _flow_component(graph, root, group, seen, hint)
         if part is None:
             return None
         values.update(part)
@@ -147,30 +169,40 @@ def nowhere_zero_flow(graph: CubicGraph, group: FlowGroup) -> Optional[FlowAssig
 
 
 def flow_on_identification(
-    graph: CubicGraph, pair: VertexPair, group: FlowGroup
+    graph: CubicGraph,
+    pair: VertexPair,
+    group: FlowGroup,
+    *,
+    hint: Optional[Mapping[int, int]] = None,
 ) -> Optional[FlowAssignment]:
     """Decide a nowhere-zero flow on the graph with the pair identified.
 
     The witness, when present, lives on the identified graph.
     """
-    return nowhere_zero_flow(identify_vertices(graph, pair), group)
+    return nowhere_zero_flow(identify_vertices(graph, pair), group, hint=hint)
 
 
 # ----------------------------------------------------------------------
 # solver internals
 
-_DECIDE, _FORCE, _CHECK = 0, 1, 2
+# step kinds; a decision step's kind is instead its edge's hinted value,
+# 0 for none, which selects its row of FlowGroup.tries
+_FORCE, _CHECK = -1, -2
 
 
 def _flow_component(
-    graph: CubicGraph, comp: frozenset[int], group: FlowGroup
+    graph: CubicGraph,
+    root: int,
+    group: FlowGroup,
+    seen: set[int],
+    hint: Optional[Mapping[int, int]],
 ) -> Optional[dict[int, int]]:
-    # spanning tree by DFS over real non-loop edges; vertices are numbered
-    # in preorder, and parent[i] is the tree edge into vertex i
+    # spanning tree by DFS over real non-loop edges from root; vertices are
+    # numbered in preorder, and parent[i] is the tree edge into vertex i
     local: dict[int, int] = {}
     parent: list = []
     incident: list = []
-    stack = [(min(comp), None)]
+    stack = [(root, None)]
     while stack:
         v, pe = stack.pop()
         if v in local:
@@ -183,11 +215,14 @@ def _flow_component(
             w = e.b if e.a == v else e.a
             if w is not DANGLING and w not in local:
                 stack.append((w, e))
+    seen.update(local)
 
     # schedule, one step per entry of the five lists: vertices in reversed
     # preorder; decide the cotree and dangling edges first seen at each
-    # vertex, then force its tree edge, finally check balance at the root.  The detached side of a
-    # dangling edge points at a sink slot that no step reads.
+    # vertex, then force its tree edge, finally check balance at the root.
+    # The detached side of a dangling edge points at a sink slot that no
+    # step reads.
+    order = group.order
     sink = len(parent)
     kind: list[int] = []
     edge: list[int] = []
@@ -209,7 +244,8 @@ def _flow_component(
             if e.a == e.b or e is pe or e.id in scheduled:
                 continue
             scheduled.add(e.id)
-            step(_DECIDE, e, -1)
+            h = hint.get(e.id, 0) if hint else 0
+            step(h if 0 < h < order else 0, e, -1)
         if pe is None:
             kind.append(_CHECK)
             edge.append(-1)
@@ -221,11 +257,11 @@ def _flow_component(
             step(_FORCE, pe, vi)
 
     # backtracking search; val[p] is the value step p last applied (0 before
-    # its first try), so a decision resumes from it and a forced value that
-    # has been tried has no alternative
+    # its first try), so a decision resumes after it in its try order and a
+    # forced value that has been tried has no alternative
     add_t = group.add_table
     neg_t = group.neg_table
-    order = group.order
+    tries = group.tries
     n = len(kind)
     sums = [0] * (sink + 1)
     val = [0] * n
@@ -233,9 +269,9 @@ def _flow_component(
     while pos < n:
         k = kind[pos]
         x = val[pos]
-        if k == _DECIDE:
-            x += 1
-            ok = x < order
+        if k >= 0:
+            x = tries[k][x]
+            ok = x != 0
         elif x:
             ok = False
         elif k == _FORCE:

@@ -270,46 +270,46 @@ def remove_vertex_pair(graph: CubicGraph, pair: VertexPair) -> CubicGraph:
     both endpoints inside the pair (loops there, and any edge joining the
     two vertices) are deleted outright, since they would keep no
     attachment.  An edge that was already dangling and attached at the pair
-    degenerates into a free edge.
+    degenerates into a free edge.  One pass over the edges, which keeps
+    their id order.
     """
     u, v = pair
     if u not in graph.vertices or v not in graph.vertices:
         raise GraphError("both vertices of the pair must belong to the graph")
-    gone = {u, v}
-    new_edges = []
+    edges = []
     for e in graph.edges:
-        inside = sum(1 for x in (e.a, e.b) if x is not DANGLING and x in gone)
-        if inside == 0:
-            new_edges.append(e)
-        elif inside == len(e.real_endpoints()) >= 2:
-            continue  # loop at the pair, or an edge joining it: no attachment left
+        eid, a, b = e
+        if a == u or a == v:
+            if b == u or b == v:
+                continue  # loop at the pair, or an edge joining it: no attachment left
+            edges.append(Edge(eid, b, DANGLING))  # b survives, or the edge is now free
+        elif b == u or b == v:
+            edges.append(Edge(eid, a, DANGLING))
         else:
-            survivor = [x for x in (e.a, e.b) if x is not DANGLING and x not in gone]
-            if survivor:
-                new_edges.append(Edge(e.id, survivor[0], DANGLING))
-            else:
-                new_edges.append(Edge(e.id, DANGLING, DANGLING))
-    return _rebuild(graph.vertices - gone, new_edges)
+            edges.append(e)
+    return CubicGraph(graph.vertices - {u, v}, tuple(edges))
 
 
 def identify_vertices(graph: CubicGraph, pair: VertexPair) -> CubicGraph:
     """Merge two distinct vertices into one; connecting edges become loops.
 
     Parallel edges and loops are retained.  The merged vertex reuses the
-    smaller of the two ids.
+    smaller of the two ids.  One pass over the edges, which keeps their id
+    order; with no dangling edges, no edge needs its slots normalized.
     """
     u, v = pair
     if u not in graph.vertices or v not in graph.vertices:
         raise GraphError("both vertices of the pair must belong to the graph")
     if graph.has_dangling:
         raise GraphError("cannot identify vertices in a graph with dangling edges")
-    merged = min(u, v)
-
-    def remap(x: Endpoint) -> Endpoint:
-        return merged if x in (u, v) else x
-
-    new_edges = [Edge(e.id, *_normalize_slots(remap(e.a), remap(e.b))) for e in graph.edges]
-    return _rebuild((graph.vertices - {u, v}) | {merged}, new_edges)
+    merged, gone = min(u, v), max(u, v)
+    edges = []
+    for e in graph.edges:
+        eid, a, b = e
+        if a == gone or b == gone:
+            e = Edge(eid, merged if a == gone else a, merged if b == gone else b)
+        edges.append(e)
+    return CubicGraph(graph.vertices - {gone}, tuple(edges))
 
 
 def delete_edge(graph: CubicGraph, edge_id: int) -> CubicGraph:

@@ -5,7 +5,8 @@ enumeration (vectorized over full assignment tables, or naive backtracking
 without any of the production solver's ordering, forcing, or symmetry
 tricks).  Nothing imports the production decision procedures; the one
 production helper used is ``chordless_cycles``, which the cycle-pair oracle
-enumerates over.
+enumerates over.  The two surgery oracles are the earlier rebuild-and-sort
+versions of the one-pass production operations.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from snarkcrit.multigraph import DANGLING, CubicGraph
+from snarkcrit.multigraph import DANGLING, CubicGraph, Edge, GraphError, VertexPair
 from snarkcrit.structure import chordless_cycles
 
 _LOW_DIGITS = 10  # a chunk enumerates the 3**10 settings of the first ten positions
@@ -52,6 +53,55 @@ def _vertex_slots(graph: CubicGraph, edges) -> dict[int, list[tuple[int, int]]]:
         if e.b is not DANGLING:
             slots[e.b].append((pos, +1))
     return slots
+
+
+def _rebuild(vertices, edges) -> CubicGraph:
+    return CubicGraph(frozenset(vertices), tuple(sorted(edges, key=lambda e: e.id)))
+
+
+def _normalize_slots(a, b):
+    # dangling edges are stored with the attached vertex in slot a
+    if a is DANGLING and b is not DANGLING:
+        return b, a
+    return a, b
+
+
+def remove_vertex_pair_by_rebuild(graph: CubicGraph, pair: VertexPair) -> CubicGraph:
+    """Vertex-pair removal, edge by edge from the endpoint counts, then re-sorted."""
+    u, v = pair
+    if u not in graph.vertices or v not in graph.vertices:
+        raise GraphError("both vertices of the pair must belong to the graph")
+    gone = {u, v}
+    new_edges = []
+    for e in graph.edges:
+        inside = sum(1 for x in (e.a, e.b) if x is not DANGLING and x in gone)
+        if inside == 0:
+            new_edges.append(e)
+        elif inside == len(e.real_endpoints()) >= 2:
+            continue  # loop at the pair, or an edge joining it: no attachment left
+        else:
+            survivor = [x for x in (e.a, e.b) if x is not DANGLING and x not in gone]
+            if survivor:
+                new_edges.append(Edge(e.id, survivor[0], DANGLING))
+            else:
+                new_edges.append(Edge(e.id, DANGLING, DANGLING))
+    return _rebuild(graph.vertices - gone, new_edges)
+
+
+def identify_vertices_by_rebuild(graph: CubicGraph, pair: VertexPair) -> CubicGraph:
+    """Vertex identification by remapping every endpoint, then re-sorted."""
+    u, v = pair
+    if u not in graph.vertices or v not in graph.vertices:
+        raise GraphError("both vertices of the pair must belong to the graph")
+    if graph.has_dangling:
+        raise GraphError("cannot identify vertices in a graph with dangling edges")
+    merged = min(u, v)
+
+    def remap(x):
+        return merged if x in (u, v) else x
+
+    new_edges = [Edge(e.id, *_normalize_slots(remap(e.a), remap(e.b))) for e in graph.edges]
+    return _rebuild((graph.vertices - {u, v}) | {merged}, new_edges)
 
 
 def colorable_by_full_enumeration(graph: CubicGraph) -> bool:
@@ -230,28 +280,89 @@ def no_smaller_cyclic_matching_cut(graph: CubicGraph, bound: int) -> bool:
     In a cubic graph a minimum cyclic cut is a matching: a vertex with two
     cut edges could move to the other side, keeping both sides cyclic and
     shrinking the cut.  So it suffices to enumerate matchings by size.
-    """
-    edges = [e for e in graph.edges if not e.is_loop]
-    n = len(edges)
 
-    def search(k: int, start: int, chosen: list, used_vertices: set) -> bool:
-        if len(chosen) == k:
-            return _has_two_cyclic_components(graph, {e.id for e in chosen})
-        for i in range(start, n):
-            e = edges[i]
-            ends = set(e.real_endpoints())
-            if ends & used_vertices:
-                continue
-            chosen.append(e)
-            if search(k, i + 1, chosen, used_vertices | ends):
-                return True
-            chosen.pop()
+    Vertices are bits: each candidate edge carries the mask of its real
+    endpoints, and the graph left after removing the chosen edges is kept
+    as neighbour masks plus, per vertex, twice the number of edges it
+    brings to its component (a loop or a dangling edge counts whole).  The
+    check is that of :func:`_has_two_cyclic_components`: two components
+    with at least as many edges as vertices.
+    """
+    index = {v: i for i, v in enumerate(sorted(graph.vertices))}
+    n = len(index)
+    adjacent = [0] * n  # neighbour bit masks
+    weight = [0] * n  # twice the edges a vertex brings to its component
+    multiplicity: dict[tuple[int, int], int] = {}
+    candidates: list[tuple[int, int, int]] = []  # (endpoint mask, end, end or -1)
+    for e in graph.edges:
+        ends = [index[x] for x in e.real_endpoints()]
+        if e.is_loop:
+            weight[ends[0]] += 2
+        elif len(ends) == 2:
+            i, j = sorted(ends)
+            adjacent[i] |= 1 << j
+            adjacent[j] |= 1 << i
+            multiplicity[i, j] = multiplicity.get((i, j), 0) + 1
+            weight[i] += 1
+            weight[j] += 1
+            candidates.append((1 << i | 1 << j, i, j))
+        elif ends:
+            weight[ends[0]] += 2
+            candidates.append((1 << ends[0], ends[0], -1))
+        else:
+            candidates.append((0, -1, -1))  # a free edge touches nothing
+    m = len(candidates)
+
+    def toggle(c: int, sign: int) -> None:
+        """Remove (sign -1) or restore (sign +1) candidate edge ``c``."""
+        _, i, j = candidates[c]
+        if j >= 0:
+            weight[i] += sign
+            weight[j] += sign
+            multiplicity[i, j] += sign
+            if multiplicity[i, j] == (0 if sign < 0 else 1):
+                adjacent[i] ^= 1 << j
+                adjacent[j] ^= 1 << i
+        elif i >= 0:
+            weight[i] += 2 * sign
+
+    def two_cyclic_components() -> bool:
+        remaining = (1 << n) - 1
+        cyclic = 0
+        while remaining:
+            comp = frontier = remaining & -remaining
+            size = twice_edges = 0
+            while frontier:
+                bit = frontier & -frontier
+                frontier ^= bit
+                v = bit.bit_length() - 1
+                size += 1
+                twice_edges += weight[v]
+                new = adjacent[v] & ~comp
+                comp |= new
+                frontier |= new
+            if twice_edges >= 2 * size:
+                cyclic += 1
+                if cyclic == 2:
+                    return True
+            remaining &= ~comp
         return False
 
-    for k in range(1, bound):
-        if search(k, 0, [], set()):
-            return False
-    return True
+    def search(k: int, start: int, used: int) -> bool:
+        if k == 0:
+            return two_cyclic_components()
+        for c in range(start, m):
+            mask = candidates[c][0]
+            if mask & used:
+                continue
+            toggle(c, -1)
+            found = search(k - 1, c + 1, used | mask)
+            toggle(c, +1)
+            if found:
+                return True
+        return False
+
+    return not any(search(k, 0, 0) for k in range(1, bound))
 
 
 def _has_two_cyclic_components(graph: CubicGraph, removed: set[int]) -> bool:

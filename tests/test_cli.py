@@ -4,6 +4,7 @@ import io
 import re
 import subprocess
 import sys
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -264,13 +265,19 @@ class TestErrors:
         path.write_text(encode_graph6(petersen()) + "\n" + encode_graph6(blanusa(1)) + "\n")
         evaluated = []
 
-        def inconsistent(graph):
+        def inconsistent(graph, table=None):
             evaluated.append(graph.order)
+            report = SimpleNamespace(
+                pair=VertexPair(0, 1),
+                consistent=False,
+                statements=lambda: {"colorable_after_removal": True, "flow_after_removal": False},
+            )
             return SimpleNamespace(
                 pair_count=45,
                 consistent=False,
                 inconsistent_pairs=(VertexPair(0, 1),),
                 degenerate_pairs=(),
+                reports=(report,),
             )
 
         monkeypatch.setattr(cli, "verify_local_equivalence", inconsistent)
@@ -281,6 +288,49 @@ class TestErrors:
         assert evaluated == [10]
         assert "graph 2" not in out
         assert "checked 1 graph(s), 45 pair(s), 1 violation(s)" in out
+
+    def test_fail_fast_stops_the_pool_within_its_window(self, tmp_path, monkeypatch):
+        # the workers are forked, so each evaluation is counted in a file
+        from snarkcrit import cli
+
+        graphs, jobs = 40, 2
+        path = tmp_path / "many.g6"
+        path.write_text((encode_graph6(petersen()) + "\n") * graphs)
+        log = tmp_path / "evaluated.txt"
+
+        def slow_evaluate(command, index, graph):
+            with open(log, "a") as f:
+                f.write(f"{index}\n")
+            time.sleep(0.02)
+            return Result(index, line=f"graph {index}", violation=index == 1, pairs=45)
+
+        monkeypatch.setattr(cli, "evaluate", slow_evaluate)
+        code, out, _ = run_cli(
+            command="verify-local", input_path=str(path), jobs=jobs, fail_fast=True
+        )
+        assert code == EXIT_VIOLATION
+        assert "checked 1 graph(s)" in out
+        evaluated = log.read_text().split()
+        chunk = graphs // (jobs * 4)
+        # the first chunk is done; no chunk beyond the window was submitted
+        assert 1 <= len(evaluated) <= 2 * jobs * chunk < graphs
+
+    def test_inconsistent_line_names_the_statements(self, monkeypatch):
+        from snarkcrit import criticality
+
+        real = criticality.flow_on_identification
+
+        def flipped(graph, pair, group, *, hint=None):
+            flow = real(graph, pair, group, hint=hint)
+            return None if pair == VertexPair(0, 2) else flow
+
+        monkeypatch.setattr(criticality, "flow_on_identification", flipped)
+        code, out, _ = run_cli(command="verify-local", named="petersen")
+        assert code == EXIT_VIOLATION
+        assert (
+            "INCONSISTENT pairs (0, 2) colorable_after_removal=true "
+            "flow_after_removal=true flow_after_identification=false\n"
+        ) in out
 
     def test_violation_names_the_graph(self, tmp_path, monkeypatch, capsys):
         from snarkcrit import cli

@@ -5,17 +5,13 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings
 
-from snarkcrit.coloring import (
-    KleinColor,
-    chromatic_index_is_4,
-    coloring_as_flow,
-    three_edge_colorable,
-)
+from snarkcrit.coloring import KleinColor, chromatic_index_is_4, three_edge_colorable
 from snarkcrit.flows import verify_kirchhoff
 from snarkcrit.graph_io import flower_snark
 from snarkcrit.multigraph import DANGLING, GraphError, VertexPair, build_graph, remove_vertex_pair
 from oracles import colorable_by_backtracking, colorable_by_full_enumeration
 from strategies import multigraphs, random_cubic_graphs
+from witness_maps import coloring_as_flow, permuted
 
 
 class TestDecisions:
@@ -115,7 +111,7 @@ class TestProperties:
         assert c is not None
         for perm in permutations((1, 2, 3)):
             mapping = {1: perm[0], 2: perm[1], 3: perm[2]}
-            assert c.permuted(mapping).is_proper()
+            assert permuted(c, mapping).is_proper()
 
     def test_returned_colorings_sum_to_zero_at_cubic_vertices(self):
         for g in random_cubic_graphs(10, (6, 8, 10), seed=20):

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import pytest
 
+from snarkcrit import criticality
 from snarkcrit.criticality import (
+    DecisionTable,
+    EquivalenceViolationError,
     NotASnarkError,
     classify,
     is_4_edge_critical,
@@ -287,3 +290,71 @@ class TestClassify:
             assert record.is_strictly_critical == (
                 record.is_critical and not record.is_bicritical
             )
+
+
+class TestDecisionTable:
+    @staticmethod
+    def _record_solver_calls(monkeypatch) -> list[tuple]:
+        """Patch the solver names of the criticality module to log each decision."""
+        calls: list[tuple] = []
+
+        def logged(name, key):
+            real = getattr(criticality, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(key(*args))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(criticality, name, wrapper)
+
+        logged("three_edge_colorable", lambda g: ("coloring", g))
+        logged("chromatic_index_is_4", lambda g: ("coloring", g))
+        logged("nowhere_zero_flow", lambda g, group: ("flow", g, group.name))
+        logged("flow_on_identification", lambda g, p, group: ("identification", p, group.name))
+        return calls
+
+    @pytest.mark.parametrize("name", ["petersen", "flower5"])
+    def test_classify_never_repeats_a_decision(self, name, smoke_set, monkeypatch):
+        calls = self._record_solver_calls(monkeypatch)
+        record = classify(smoke_set[name])
+        assert record.is_bicritical and record.is_4_vertex_critical
+        n = smoke_set[name].order
+        # every pair is decided by each route, and nothing twice
+        assert sum(c[0] == "identification" for c in calls) == n * (n - 1) // 2
+        assert len(set(calls)) == len(calls)
+
+    def test_classifiers_share_one_table(self, petersen_graph, monkeypatch):
+        table = DecisionTable(petersen_graph)
+        assert is_bicritical(petersen_graph, table=table)
+        calls = self._record_solver_calls(monkeypatch)
+        assert is_critical(petersen_graph, table=table)
+        assert not strong_certificate(petersen_graph, table=table).pair_route
+        # the strength route only tests each suppression; no removal (the
+        # graphs with dangling edges) is decided again
+        assert len(calls) == 2 * len(petersen_graph.edges)
+        assert not any(c[1].has_dangling for c in calls)
+        assert len(table.verdicts) == 45
+
+    def test_table_of_another_graph_is_refused(self, petersen_graph):
+        with pytest.raises(ValueError):
+            is_critical(blanusa(1), table=DecisionTable(petersen_graph))
+
+    def test_table_refuses_non_snarks(self, k4):
+        with pytest.raises(NotASnarkError):
+            is_bicritical(k4, table=DecisionTable(k4))
+
+
+def test_classify_violation_names_the_classifiers(petersen_graph, monkeypatch):
+    # the flow solver denies the identification of one non-adjacent pair
+    real = criticality.flow_on_identification
+
+    def flipped(graph, pair, group, *, hint=None):
+        flow = real(graph, pair, group, hint=hint)
+        return None if pair == VertexPair(0, 2) else flow
+
+    monkeypatch.setattr(criticality, "flow_on_identification", flipped)
+    with pytest.raises(EquivalenceViolationError) as info:
+        classify(petersen_graph)
+    message = str(info.value)
+    assert "bicritical=true but 4-vertex-critical=false" in message
+    assert "4-edge-critical" not in message

@@ -4,11 +4,13 @@ The classifiers call the solvers almost only on derived graphs: vertex-pair
 removals (dangling edges), identifications (a degree-6 vertex, loops from
 joining edges), edge deletions (degree-2 vertices), contractions (a
 degree-4 vertex) and suppressions (parallel edges, loops).  Every such
-graph of a few small cubic graphs is checked here, witnesses included.
+graph of a few small cubic graphs is checked here, witnesses included, and
+with hints: a hint only reorders the tries, so it never changes a verdict.
 """
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import pytest
@@ -79,3 +81,45 @@ def test_solvers_match_enumeration_on_derived_graphs(base, surgery):
             if flow is not None:
                 assert flow.graph is g
                 assert flow.is_nowhere_zero() and verify_kirchhoff(g, flow)
+
+
+def _check_coloring(g, coloring):
+    if coloring is not None:
+        assert coloring.graph is g and coloring.is_proper()
+    return coloring is not None
+
+
+def _check_flow(g, flow):
+    if flow is not None:
+        assert flow.graph is g
+        assert flow.is_nowhere_zero() and verify_kirchhoff(g, flow)
+    return flow is not None
+
+
+@pytest.mark.parametrize("surgery", sorted(SURGERIES))
+@pytest.mark.parametrize("base", sorted(BASES))
+def test_hints_never_change_a_verdict(base, surgery):
+    # hints as the decision table gives them, from the sibling decided
+    # last, and arbitrary ones
+    rng = random.Random(f"{base}-{surgery}")
+    sibling_coloring: dict = {}
+    sibling_flow: dict = {group.name: {} for group in (Z4, KLEIN)}
+    for g in SURGERIES[surgery](BASES[base]()):
+        ids = [e.id for e in g.edges] + [max((e.id for e in g.edges), default=0) + 1]
+        random_hint = {eid: rng.randint(1, 3) for eid in ids}
+        if max(g.degrees().values(), default=0) <= 3:
+            colorings = [
+                three_edge_colorable(g, hint=hint)
+                for hint in (None, sibling_coloring, random_hint)
+            ]
+            assert len({_check_coloring(g, c) for c in colorings}) == 1
+            if colorings[1] is not None:
+                sibling_coloring = colorings[1].assignment
+        for group in (Z4, KLEIN):
+            flows = [
+                nowhere_zero_flow(g, group, hint=hint)
+                for hint in (None, sibling_flow[group.name], random_hint)
+            ]
+            assert len({_check_flow(g, f) for f in flows}) == 1
+            if flows[1] is not None:
+                sibling_flow[group.name] = flows[1].values

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 
@@ -18,7 +21,9 @@ from snarkcrit.multigraph import (
     suppress_edge,
 )
 from isomorphism import are_isomorphic
-from strategies import multigraphs
+from oracles import identify_vertices_by_rebuild, remove_vertex_pair_by_rebuild
+from snarkcrit.graph_io import read_graph6_file
+from strategies import multigraphs, random_cubic_multigraphs
 
 
 def degree_balance(graph: CubicGraph) -> bool:
@@ -126,6 +131,54 @@ class TestIdentifyVertices:
         cut = remove_vertex_pair(petersen_graph, VertexPair(0, 1))
         with pytest.raises(GraphError):
             identify_vertices(cut, VertexPair(2, 3))
+
+
+def _pairs(graph: CubicGraph) -> list[VertexPair]:
+    return [VertexPair(u, v) for u, v in combinations(sorted(graph.vertices), 2)]
+
+
+def _seeded_multigraphs(seed: int, count: int) -> list[CubicGraph]:
+    """Cubic multigraphs with loops and parallel edges, and some with dangling edges."""
+    rng = random.Random(seed)
+    out = []
+    for g in random_cubic_multigraphs(count, (4, 6, 8, 10), seed=seed):
+        out.append(g)
+        # sever a few edge ends: the attached side keeps slot a
+        severed = set(rng.sample(range(len(g.edges)), 3))
+        edges = [
+            (e.a, DANGLING) if e.id in severed else (e.a, e.b) for e in g.edges
+        ]
+        out.append(build_graph(g.order, edges))
+    return out
+
+
+class TestOnePassSurgery:
+    """The one-pass removal and identification equal the rebuild oracles."""
+
+    @pytest.fixture(scope="class")
+    def cases(self, corpus_path):
+        graphs = [e.graph for e in read_graph6_file(corpus_path)]
+        graphs += _seeded_multigraphs(seed=77, count=24)
+        assert any(e.is_loop for g in graphs for e in g.edges)
+        assert any(len(g.connecting_edges(e.a, e.b)) > 1 for g in graphs for e in g.edges
+                   if not (e.is_loop or e.is_dangling))
+        assert any(g.has_dangling for g in graphs)
+        return graphs
+
+    def test_removal_matches_oracle(self, cases):
+        for g in cases:
+            for pair in _pairs(g):
+                assert remove_vertex_pair(g, pair) == remove_vertex_pair_by_rebuild(g, pair)
+
+    def test_identification_matches_oracle(self, cases):
+        for g in cases:
+            for pair in _pairs(g):
+                if not g.has_dangling:
+                    assert identify_vertices(g, pair) == identify_vertices_by_rebuild(g, pair)
+                    continue
+                for identify in (identify_vertices, identify_vertices_by_rebuild):
+                    with pytest.raises(GraphError):
+                        identify(g, pair)
 
 
 class TestDeleteEdge:
