@@ -23,10 +23,11 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from contextlib import closing
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -55,6 +56,9 @@ EXIT_OK = 0
 EXIT_UNREADABLE = 2
 EXIT_PARSE = 3
 EXIT_VIOLATION = 4
+
+# finished chunks a pool holds back per worker while an earlier one runs
+_HELD_PER_JOB = 4
 
 
 @dataclass(frozen=True)
@@ -183,24 +187,37 @@ def _results(config: RunConfig) -> tuple[Iterator[Result], int]:
 def _run_pool(config: RunConfig, items: list[tuple[int, str]]) -> Iterator[Result]:
     """Evaluate graph6 items in input order, in a process pool when ``jobs`` > 1.
 
-    The pool gets chunks through a window of ``2 * jobs`` futures, so closing
-    this generator early (``--fail-fast``) leaves at most that many chunks
-    to finish or cancel.
+    At most ``2 * jobs`` chunks are unfinished at any time, so closing this
+    generator early (``--fail-fast``) leaves at most that many to finish or
+    cancel.  Only unfinished chunks count: when all but ``jobs`` of them
+    have finished, the window is filled up again, even while a slow chunk
+    at its head holds back the output, so the other workers keep busy.
+    Finished chunks wait for their turn in input order; at most
+    ``_HELD_PER_JOB * jobs`` of them are held.
     """
     if config.jobs == 1:
         yield from map(partial(_work, config.command), items)
         return
-    size = max(1, len(items) // (config.jobs * 4))
-    chunks = [items[i : i + size] for i in range(0, len(items), size)]
-    pool = ProcessPoolExecutor(max_workers=config.jobs)
-    window: deque = deque()
+    jobs = config.jobs
+    size = max(1, len(items) // (jobs * 4))
+    chunks = (items[i : i + size] for i in range(0, len(items), size))
+    pool = ProcessPoolExecutor(max_workers=jobs)
+    window: deque = deque()  # submitted and not yet yielded, in input order
+    running: set = set()  # the unfinished chunks of the window
     try:
-        for chunk in chunks:
-            window.append(pool.submit(_work_chunk, config.command, chunk))
-            if len(window) == 2 * config.jobs:
+        while True:
+            while window and window[0].done():
                 yield from window.popleft().result()
-        while window:
-            yield from window.popleft().result()
+            held = len(window) - len(running)
+            if len(running) <= jobs and held < _HELD_PER_JOB * jobs:
+                for chunk in islice(chunks, 2 * jobs - len(running)):
+                    future = pool.submit(_work_chunk, config.command, chunk)
+                    window.append(future)
+                    running.add(future)
+            if not window:
+                return
+            # the head is unfinished, so this waits for at least one chunk
+            running = wait(running, return_when=FIRST_COMPLETED).not_done
     finally:
         pool.shutdown(cancel_futures=True)
 

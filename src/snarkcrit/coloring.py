@@ -6,13 +6,16 @@ distinct colors force the third; the solver gets this propagation for free
 from per-vertex used-color bitmasks.  Degree-1 and degree-2 vertices (from
 dangling edges or edge deletions) only impose pairwise distinctness.
 
-Any loop makes its vertex uncolorable, so graphs containing loops are
-rejected outright.  Connected components are solved independently, each
-found by the BFS that orders its edges.  The search is table-driven: an
-edge's state (its try order and its current color) and the colors busy at
-its endpoints index the next state, so a try costs one lookup.  A hint,
-such as the coloring of a sibling derived graph, only picks each edge's
-try order.
+A call makes one pass over the graph's edges, which yields each vertex's
+incidence list (hence its degree), whether there is a loop, and the free
+edges, and then searches.  Any loop makes its vertex uncolorable, so
+graphs containing loops are rejected outright.  Connected components are
+solved independently, each found by the BFS that orders its edges.  The
+search is table-driven: an edge's state (its try order and its current
+color) and the colors busy at its endpoints index the next state, so a try
+costs one lookup.  A hint, such as the coloring of a sibling derived graph,
+only picks each edge's try order.  The number of search-loop iterations is
+added to :data:`search_steps`.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Mapping, Optional
 
-from .multigraph import DANGLING, CubicGraph, Edge, GraphError
+from .multigraph import DANGLING, CubicGraph, GraphError
 
 
 class KleinColor(IntEnum):
@@ -33,6 +36,9 @@ class KleinColor(IntEnum):
 
 
 KLEIN_COLORS = (KleinColor.C01, KleinColor.C10, KleinColor.C11)
+
+#: Iterations of the search loop, summed over every call in this process.
+search_steps = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,36 +76,54 @@ def three_edge_colorable(
 ) -> Optional[EdgeColoring]:
     """Find a proper 3-edge-coloring, or None if there is none.
 
-    Vertices of degree above three are an input error.  The search runs per
-    component, visiting edges in BFS order from a maximum-degree vertex;
-    the start vertex's edges are pinned to fixed colors, which quotients
-    away the six color permutations.  ``hint`` (edge id -> color, say a
-    coloring of a sibling graph) only changes the order of tries: an edge
-    tries its hinted color first, after the hint is relabelled so that it
-    agrees with the pinned colors.  The search stays complete either way.
+    Vertices of degree above three are an input error, reported before a
+    loop makes the answer None.  The search runs per component, visiting
+    edges in BFS order from a maximum-degree vertex; the start vertex's
+    edges are pinned to fixed colors, which quotients away the six color
+    permutations.  ``hint`` (edge id -> color, say a coloring of a sibling
+    graph) only changes the order of tries: an edge tries its hinted color
+    first, after the hint is relabelled so that it agrees with the pinned
+    colors.  The search stays complete either way.
     """
-    degree = graph.degrees()
-    for v, d in degree.items():
-        if d > 3:
-            raise GraphError(f"vertex {v} has degree {d} > 3")
-    if any(e.is_loop for e in graph.edges):
+    # one pass over the edges: each vertex's incidences as (edge id, other
+    # end), where a loop is listed twice, so their lengths are the degrees
+    incident: dict[int, list] = {v: [] for v in graph.vertices}
+    assignment: dict[int, KleinColor] = {}
+    has_loop = False
+    for eid, a, b in graph.edges:
+        if a is DANGLING:
+            if b is DANGLING:
+                assignment[eid] = KleinColor.C01  # no vertex constrains a free edge
+                continue
+            a, b = b, a
+        incident[a].append((eid, b))
+        if b is not DANGLING:
+            incident[b].append((eid, a))
+            if a == b:
+                has_loop = True
+    for v, inc in incident.items():
+        if len(inc) > 3:
+            raise GraphError(f"vertex {v} has degree {len(inc)} > 3")
+    if has_loop:
         return None
 
-    assignment: dict[int, KleinColor] = {}
-    for e in graph.free_edges():
-        assignment[e.id] = KleinColor.C01  # no vertex constrains a free edge
+    global search_steps
     # each vertex not yet reached starts a component; in this order it is
     # the smallest vertex of maximum degree there
     slot: dict[int, int] = {}
     used: list[int] = []
-    for start in sorted(degree, key=lambda v: (-degree[v], v)):
+    steps = 0
+    for start in sorted(incident, key=lambda v: (-len(incident[v]), v)):
         if start in slot:
             continue
-        order = _edge_order(graph, start, slot, used)
-        part = _color_component(order, degree[start], slot, used, hint)
+        ids, end_a, end_b = _edge_order(incident, start, slot, used)
+        part, n = _color_component(ids, end_a, end_b, len(incident[start]), used, hint)
+        steps += n
         if part is None:
+            search_steps += steps
             return None
         assignment.update(part)
+    search_steps += steps
     return EdgeColoring(graph, assignment)
 
 
@@ -138,38 +162,46 @@ _NEXT = _successors()
 
 
 def _edge_order(
-    graph: CubicGraph, start: int, slot: dict[int, int], used: list[int]
-) -> list[Edge]:
-    """BFS edge order over the component of ``start``.
+    incident: dict[int, list], start: int, slot: dict[int, int], used: list[int]
+) -> tuple[list[int], list[int], list[int]]:
+    """BFS edge order over the component of ``start``: edge ids and end slots.
 
     Each vertex reached gets the next slot of ``used``, its used-color
-    bitmask.
+    bitmask, so vertex slots grow in BFS order and an edge is listed from
+    whichever end is visited first.  The detached side of a dangling edge
+    gets a slot of its own, which thus never conflicts with anything.
     """
     slot[start] = len(used)
     used.append(0)
-    order = []
-    listed = set()
+    ids: list[int] = []
+    end_a: list[int] = []
+    end_b: list[int] = []
     queue = [start]
     for v in queue:
-        for e in sorted(graph.incident_edges(v)):
-            if e.id not in listed:
-                listed.add(e.id)
-                order.append(e)
-            w = e.b if e.a == v else e.a
-            if w is not DANGLING and w not in slot:
-                slot[w] = len(used)
+        sv = slot[v]
+        for eid, w in incident[v]:
+            if w is DANGLING:
+                sw = len(used)
                 used.append(0)
-                queue.append(w)
-    return order
+            else:
+                sw = slot.get(w)
+                if sw is None:
+                    slot[w] = sw = len(used)
+                    used.append(0)
+                    queue.append(w)
+                elif sw < sv:
+                    continue  # listed when w was visited
+            ids.append(eid)
+            end_a.append(sv)
+            end_b.append(sw)
+    return ids, end_a, end_b
 
 
-def _relabelling(
-    order: list[Edge], pinned: int, hint: Mapping[int, int]
-) -> dict[int, int]:
+def _relabelling(ids: list[int], pinned: int, hint: Mapping[int, int]) -> dict[int, int]:
     """The color permutation taking the hint's colors on the pinned edges to 1, 2, 3."""
     perm: dict[int, int] = {}
     for pos in range(pinned):
-        h = hint.get(order[pos].id)
+        h = hint.get(ids[pos])
         if h in (1, 2, 3) and h not in perm:
             perm[h] = pos + 1
     spare = [c for c in (1, 2, 3) if c not in perm.values()]
@@ -180,39 +212,20 @@ def _relabelling(
 
 
 def _color_component(
-    order: list[Edge],
+    ids: list[int],
+    end_a: list[int],
+    end_b: list[int],
     pinned: int,
-    slot: dict[int, int],
     used: list[int],
     hint: Optional[Mapping[int, int]],
-) -> Optional[dict[int, KleinColor]]:
-    m = len(order)
-    if m == 0:
-        return {}
-
-    # the detached side of a dangling edge gets a used-color slot of its
-    # own, which thus never conflicts with anything
-    end_a: list[int] = []
-    end_b: list[int] = []
-    for _, a, b in order:
-        if a is DANGLING:
-            a = len(used)
-            used.append(0)
-        else:
-            a = slot[a]
-        if b is DANGLING:
-            b = len(used)
-            used.append(0)
-        else:
-            b = slot[b]
-        end_a.append(a)
-        end_b.append(b)
-
+) -> tuple[Optional[dict[int, KleinColor]], int]:
+    """Color one component's edges, or None; also the search loop's iteration count."""
+    m = len(ids)
     # state[p] is edge p's state in _NEXT: its try order and the color it
     # holds, so a retry resumes after that color
     if hint:
-        perm = _relabelling(order, pinned, hint)
-        state = [4 * perm.get(hint.get(e.id), 0) for e in order]
+        perm = _relabelling(ids, pinned, hint)
+        state = [4 * perm.get(hint.get(eid), 0) for eid in ids]
     else:
         state = [0] * m
 
@@ -223,6 +236,9 @@ def _color_component(
         used[end_a[pos]] |= 1 << c
         used[end_b[pos]] |= 1 << c
 
+    # each iteration advances or backtracks one edge, so counting the
+    # backtracks gives the iterations from the net advance
+    back = 0
     pos = pinned
     while pos < m:
         a = end_a[pos]
@@ -235,10 +251,12 @@ def _color_component(
             used[b] |= 1 << c
             pos += 1
             continue
+        back += 1
         pos -= 1
         if pos < pinned:
-            return None
+            return None, 2 * back - 1
         bit = 1 << (state[pos] & 3)
         used[end_a[pos]] ^= bit
         used[end_b[pos]] ^= bit
-    return {e.id: KLEIN_COLORS[(s & 3) - 1] for e, s in zip(order, state)}
+    colors = {eid: KLEIN_COLORS[(s & 3) - 1] for eid, s in zip(ids, state)}
+    return colors, 2 * back + m - pinned

@@ -7,18 +7,40 @@ of incoming values equals the sum of outgoing ones.  A loop contributes
 once in and once out, hence nothing; a dangling edge contributes only at
 its attached vertex.
 
-The search works per component over a DFS spanning tree: values on cotree
-edges, loops, and dangling edges are the free variables, and tree-edge
-values are forced bottom-up by the conservation law at their deeper
-endpoint.  Vertices are scheduled in reversed DFS preorder, which keeps
-each subtree contiguous just before its root, so when a forced value fails
-the search backtracks into the decisions made inside that subtree, the
-ones that fixed it.  A forced identity value prunes the branch, so bridges
-of dangling-free graphs fail immediately.  Group arithmetic is
-table-driven, which keeps the solver generic over the two groups.  Each
-component is found by the DFS that builds its tree.  A hint, such as the
-flow on a sibling derived graph (surgery keeps edge ids), puts each
-decided edge's hinted value first among its tries.
+A call makes one pass over the graph's edges, which yields the reference
+orientation, the values of loops and free edges and each vertex's
+incidence list, and then searches.  The search works per component over a
+DFS spanning tree: values on cotree edges and dangling edges are the free
+variables, and tree-edge values are forced bottom-up by the conservation
+law at their deeper endpoint.  Vertices are scheduled in reversed DFS
+preorder, which keeps each subtree contiguous just before its root, so
+when a forced value fails the search backtracks into the decisions made
+inside that subtree, the ones that fixed it.  A forced identity value
+prunes the branch, so bridges of dangling-free graphs fail immediately.
+Group arithmetic is table-driven, which keeps the solver generic over the
+two groups.  Each component is found by the DFS that builds its tree.
+
+A hint, such as the flow on a sibling derived graph (surgery keeps edge
+ids), puts each decided edge's hinted value first among its tries.  The
+first decided edge of each component tries one value only: its hinted
+value, or 1 with no hint.  No single value there loses a flow:
+- In Z2 x Z2 every permutation of the nonzero elements is a group
+  automorphism, and automorphisms map flows to flows.
+- In Z4, if a component has a flow at all, each of its edges takes each
+  of 1, 2 and 3 in some flow.  A graph has a nowhere-zero Z4 flow exactly
+  when two even subgraphs C1, C2 cover its edges: Tutte's count of
+  nowhere-zero flows depends only on the order of the group, and the two
+  coordinates of a Z2 x Z2 flow are such a pair.  A cover gives the Z4
+  flow o1 + 2 * o2, where o1 and o2 orient C1 and C2 as circulations of
+  +-1; it is odd exactly on C1.  Replacing (C1, C2) by (C2, C1) or by
+  (C1 + C2, C2), with + the symmetric difference, keeps a cover, so any
+  one edge can be put inside C1 or outside it: it takes 2 in one flow and
+  an odd value in another, and negating that flow gives the other odd
+  value.
+Dangling edges count as edges to one extra vertex, whose balance follows
+from the others'.
+
+The number of search-loop iterations is added to :data:`search_steps`.
 """
 
 from __future__ import annotations
@@ -60,12 +82,14 @@ class FlowGroup:
 
     @cached_property
     def tries(self) -> tuple[tuple[int, ...], ...]:
-        """Successor tables of the value order on a decided edge, one per hint.
+        """Successor tables of the value order on a decided edge, two per hint.
 
         ``tries[h][x]`` is the value tried after ``x`` on an edge whose
         hinted value ``h`` goes first (``h`` = 0: no hint, values in
         increasing order); ``tries[h][0]`` is the first value and 0 follows
-        the last.
+        the last.  Row ``order + h`` serves the first decided edge of a
+        component, which tries ``h`` alone, or 1 with no hint: see the
+        module docstring for why one value there loses no flow.
         """
         tables = []
         for h in range(self.order):
@@ -75,6 +99,10 @@ class FlowGroup:
             for x in first + tuple(x for x in self.nonzero() if x != h):
                 succ[prev] = x
                 prev = x
+            tables.append(tuple(succ))
+        for h in range(self.order):
+            succ = [0] * self.order
+            succ[0] = h or 1
             tables.append(tuple(succ))
         return tuple(tables)
 
@@ -95,6 +123,9 @@ KLEIN = FlowGroup(
 )
 
 GROUPS = {g.name: g for g in (Z4, KLEIN)}
+
+#: Iterations of the search loop, summed over every call in this process.
+search_steps = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,23 +179,43 @@ def nowhere_zero_flow(
     first nonzero element; dangling edges are free variables constrained
     only at their attached vertex, oriented outward.  ``hint`` (edge id ->
     value, say a flow on a sibling graph) only changes the order of tries:
-    a decided edge tries its hinted value first.  The search stays complete
-    either way.
+    a decided edge tries its hinted value first.  The first decided edge of
+    each component tries that value alone, or 1 with no hint, which loses
+    no flow (see the module docstring).  The search stays complete either
+    way.
     """
+    # one pass over the edges: the reference orientation, the values of
+    # loops and free edges, and each vertex's other incidences as (other
+    # end, edge)
+    incident: dict[int, list] = {v: [] for v in graph.vertices}
+    orientation: dict[int, Endpoint] = {}
     values: dict[int, int] = {}
-    orientation = {e.id: e.b for e in graph.edges}
+    first = group.nonzero()[0]
     for e in graph.edges:
-        if e.is_loop or e.is_free:
-            values[e.id] = group.nonzero()[0]
+        eid, a, b = e
+        orientation[eid] = b
+        if a == b:  # a loop, or a free edge: no vertex constrains it
+            values[eid] = first
+            continue
+        if a is not DANGLING:
+            incident[a].append((b, e))
+        if b is not DANGLING:
+            incident[b].append((a, e))
+
+    global search_steps
     # each vertex not yet reached roots a component: its smallest vertex
     seen: set[int] = set()
-    for root in sorted(graph.vertices):
+    steps = 0
+    for root in sorted(incident):
         if root in seen:
             continue
-        part = _flow_component(graph, root, group, seen, hint)
+        part, n = _flow_component(incident, root, group, seen, hint)
+        steps += n
         if part is None:
+            search_steps += steps
             return None
         values.update(part)
+    search_steps += steps
     return FlowAssignment(graph, group, orientation, values)
 
 
@@ -185,23 +236,26 @@ def flow_on_identification(
 # ----------------------------------------------------------------------
 # solver internals
 
-# step kinds; a decision step's kind is instead its edge's hinted value,
-# 0 for none, which selects its row of FlowGroup.tries
+# step kinds; a decision step's kind is instead its row of FlowGroup.tries:
+# its edge's hinted value, 0 for none, plus the group order on the first
+# decided edge of a component
 _FORCE, _CHECK = -1, -2
 
 
 def _flow_component(
-    graph: CubicGraph,
+    incident: dict[int, list],
     root: int,
     group: FlowGroup,
     seen: set[int],
     hint: Optional[Mapping[int, int]],
-) -> Optional[dict[int, int]]:
+) -> tuple[Optional[dict[int, int]], int]:
+    """Values on one component's decided and forced edges, or None; and the loop's iterations."""
     # spanning tree by DFS over real non-loop edges from root; vertices are
-    # numbered in preorder, and parent[i] is the tree edge into vertex i
+    # numbered in preorder, parent[i] is the tree edge into vertex i and
+    # at[i] lists the incidences of vertex i
     local: dict[int, int] = {}
     parent: list = []
-    incident: list = []
+    at: list = []
     stack = [(root, None)]
     while stack:
         v, pe = stack.pop()
@@ -209,10 +263,9 @@ def _flow_component(
             continue
         local[v] = len(parent)
         parent.append(pe)
-        inc = sorted(graph.incident_edges(v))
-        incident.append(inc)
-        for e in reversed(inc):
-            w = e.b if e.a == v else e.a
+        inc = incident[v]
+        at.append(inc)
+        for w, e in reversed(inc):
             if w is not DANGLING and w not in local:
                 stack.append((w, e))
     seen.update(local)
@@ -220,8 +273,9 @@ def _flow_component(
     # schedule, one step per entry of the five lists: vertices in reversed
     # preorder; decide the cotree and dangling edges first seen at each
     # vertex, then force its tree edge, finally check balance at the root.
-    # The detached side of a dangling edge points at a sink slot that no
-    # step reads.
+    # An edge to a vertex of higher preorder was seen there first.  The
+    # detached side of a dangling edge points at a sink slot that no step
+    # reads.
     order = group.order
     sink = len(parent)
     kind: list[int] = []
@@ -229,23 +283,17 @@ def _flow_component(
     vertex: list[int] = []
     head: list[int] = []
     tail: list[int] = []
-    scheduled: set[int] = set()
-
-    def step(k: int, e, vi: int) -> None:
-        kind.append(k)
-        edge.append(e.id)
-        vertex.append(vi)
-        head.append(sink if e.b is DANGLING else local[e.b])
-        tail.append(sink if e.a is DANGLING else local[e.a])
-
     for vi in range(sink - 1, -1, -1):
         pe = parent[vi]
-        for e in incident[vi]:
-            if e.a == e.b or e is pe or e.id in scheduled:
+        for w, e in at[vi]:
+            if e is pe or (w is not DANGLING and local[w] > vi):
                 continue
-            scheduled.add(e.id)
             h = hint.get(e.id, 0) if hint else 0
-            step(h if 0 < h < order else 0, e, -1)
+            kind.append(h if 0 < h < order else 0)
+            edge.append(e.id)
+            vertex.append(-1)
+            head.append(local.get(e.b, sink))
+            tail.append(local.get(e.a, sink))
         if pe is None:
             kind.append(_CHECK)
             edge.append(-1)
@@ -253,18 +301,29 @@ def _flow_component(
             head.append(sink)
             tail.append(sink)
         else:
-            scheduled.add(pe.id)
-            step(_FORCE, pe, vi)
+            kind.append(_FORCE)
+            edge.append(pe.id)
+            vertex.append(vi)
+            head.append(local[pe.b])
+            tail.append(local[pe.a])
+
+    # the first decided edge tries one value only (FlowGroup.tries)
+    first = next((p for p, k in enumerate(kind) if k >= 0), None)
+    if first is not None:
+        kind[first] += order
 
     # backtracking search; val[p] is the value step p last applied (0 before
     # its first try), so a decision resumes after it in its try order and a
-    # forced value that has been tried has no alternative
+    # forced value that has been tried has no alternative.  Each iteration
+    # advances or backtracks one step, so counting the backtracks gives the
+    # iterations from the net advance.
     add_t = group.add_table
     neg_t = group.neg_table
     tries = group.tries
     n = len(kind)
     sums = [0] * (sink + 1)
     val = [0] * n
+    back = 0
     pos = 0
     while pos < n:
         k = kind[pos]
@@ -290,12 +349,14 @@ def _flow_component(
             pos += 1
             continue
         val[pos] = 0
+        back += 1
         pos -= 1
         if pos < 0:
-            return None
+            return None, 2 * back - 1
         x = val[pos]
         h = head[pos]
         t = tail[pos]
         sums[h] = add_t[sums[h]][neg_t[x]]
         sums[t] = add_t[sums[t]][x]
-    return {edge[p]: val[p] for p in range(n) if kind[p] != _CHECK}
+    values = {edge[p]: val[p] for p in range(n) if kind[p] != _CHECK}
+    return values, 2 * back + n

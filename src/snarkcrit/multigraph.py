@@ -194,9 +194,6 @@ class CubicGraph:
     def has_dangling(self) -> bool:
         return any(e.is_dangling or e.is_free for e in self.edges)
 
-    def free_edges(self) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edges if e.is_free)
-
     def components(self) -> tuple[frozenset[int], ...]:
         """Vertex sets of connected components; dangling edges join nothing."""
         remaining = set(self.vertices)

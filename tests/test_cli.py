@@ -315,6 +315,32 @@ class TestErrors:
         # the first chunk is done; no chunk beyond the window was submitted
         assert 1 <= len(evaluated) <= 2 * jobs * chunk < graphs
 
+    def test_pool_keeps_busy_behind_a_slow_head_chunk(self, tmp_path, monkeypatch):
+        # the workers are forked, so each evaluation is logged in a file,
+        # with its end on the system-wide monotonic clock
+        from snarkcrit import cli
+
+        graphs, jobs = 16, 2
+        path = tmp_path / "many.g6"
+        path.write_text((encode_graph6(petersen()) + "\n") * graphs)
+        log = tmp_path / "evaluated.txt"
+
+        def timed_evaluate(command, index, graph):
+            time.sleep(1.0 if index == 1 else 0.01)
+            with open(log, "a") as f:
+                f.write(f"{index} {time.monotonic()}\n")
+            return Result(index, line=f"graph {index}", pairs=45)
+
+        monkeypatch.setattr(cli, "evaluate", timed_evaluate)
+        code, out, _ = run_cli(command="verify-local", input_path=str(path), jobs=jobs)
+        assert code == EXIT_OK
+        assert out.splitlines()[:graphs] == [f"graph {i}" for i in range(1, graphs + 1)]
+        ends = {int(i): float(t) for i, t in map(str.split, log.read_text().splitlines())}
+        assert sorted(ends) == list(range(1, graphs + 1))
+        chunk = graphs // (jobs * 4)
+        # every chunk after the first was evaluated while graph 1 still ran
+        assert max(ends[i] for i in ends if i > chunk) < ends[1]
+
     def test_inconsistent_line_names_the_statements(self, monkeypatch):
         from snarkcrit import criticality
 

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from snarkcrit import criticality
+from snarkcrit import coloring, criticality, flows
 from snarkcrit.criticality import (
     DecisionTable,
     EquivalenceViolationError,
@@ -358,3 +363,33 @@ def test_classify_violation_names_the_classifiers(petersen_graph, monkeypatch):
     message = str(info.value)
     assert "bicritical=true but 4-vertex-critical=false" in message
     assert "4-edge-critical" not in message
+
+
+_STEPS_OF_CLASSIFY = """
+from snarkcrit import coloring, flows
+from snarkcrit.criticality import classify
+from snarkcrit.graph_io import flower_snark
+classify(flower_snark(5))
+print(coloring.search_steps, flows.search_steps)
+"""
+
+
+def test_search_step_totals_repeat_exactly():
+    # each solver call adds its loop iterations to a module total; a second
+    # run in this process and a run in a fresh one with another hash seed
+    # add the same numbers
+    def steps_of_classify():
+        before = coloring.search_steps, flows.search_steps
+        classify(flower_snark(5))
+        return coloring.search_steps - before[0], flows.search_steps - before[1]
+
+    first = steps_of_classify()
+    assert first[0] > 0 and first[1] > 0
+    assert steps_of_classify() == first
+    src = str(Path(coloring.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONHASHSEED="12345", PYTHONPATH=src)
+    fresh = subprocess.run(
+        [sys.executable, "-c", _STEPS_OF_CLASSIFY],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    assert tuple(map(int, fresh.stdout.split())) == first

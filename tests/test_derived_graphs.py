@@ -4,14 +4,17 @@ The classifiers call the solvers almost only on derived graphs: vertex-pair
 removals (dangling edges), identifications (a degree-6 vertex, loops from
 joining edges), edge deletions (degree-2 vertices), contractions (a
 degree-4 vertex) and suppressions (parallel edges, loops).  Every such
-graph of a few small cubic graphs is checked here, witnesses included, and
-with hints: a hint only reorders the tries, so it never changes a verdict.
+graph of a few small cubic graphs is checked here, witnesses included,
+with hints and with its edges shuffled: a hint or an edge order only
+reorders the tries, so it never changes a verdict.  A whole flow given as
+the hint comes back as it is, since the one value the first decided edge
+of a component tries is its hinted one.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -19,6 +22,7 @@ from snarkcrit.coloring import three_edge_colorable
 from snarkcrit.flows import KLEIN, Z4, nowhere_zero_flow, verify_kirchhoff
 from snarkcrit.graph_io import complete4, petersen, theta
 from snarkcrit.multigraph import (
+    CubicGraph,
     GraphError,
     NonSuppressibleError,
     VertexPair,
@@ -123,3 +127,51 @@ def test_hints_never_change_a_verdict(base, surgery):
             assert len({_check_flow(g, f) for f in flows}) == 1
             if flows[1] is not None:
                 sibling_flow[group.name] = flows[1].values
+
+
+@pytest.mark.parametrize("surgery", sorted(SURGERIES))
+@pytest.mark.parametrize("base", sorted(BASES))
+def test_edge_order_never_changes_a_verdict(base, surgery):
+    # the solvers take their try order from the order of graph.edges, which
+    # surgery keeps in id order; any other order must give the same verdicts
+    rng = random.Random(f"{base}-{surgery}")
+    for g in SURGERIES[surgery](BASES[base]()):
+        edges = list(g.edges)
+        rng.shuffle(edges)
+        shuffled = CubicGraph(g.vertices, tuple(edges))
+        if max(g.degrees().values(), default=0) <= 3:
+            assert _check_coloring(shuffled, three_edge_colorable(shuffled)) == (
+                three_edge_colorable(g) is not None
+            )
+        for group in (Z4, KLEIN):
+            assert _check_flow(shuffled, nowhere_zero_flow(shuffled, group)) == (
+                nowhere_zero_flow(g, group) is not None
+            )
+
+
+def _images(group):
+    """Maps of the nonzero values that take every flow of ``group`` to a flow."""
+    if group is Z4:
+        return [{1: 1, 2: 2, 3: 3}, {1: 3, 2: 2, 3: 1}]  # identity, negation
+    # every permutation of the nonzero elements of Z2 x Z2 is an automorphism
+    return [dict(zip((1, 2, 3), p)) for p in permutations((1, 2, 3))]
+
+
+@pytest.mark.parametrize("surgery", sorted(SURGERIES))
+@pytest.mark.parametrize("base", sorted(BASES))
+def test_a_flow_given_as_hint_comes_back(base, surgery):
+    # the first decided edge of a component tries only its hinted value, so
+    # a whole flow given as the hint is found as it is, whatever value it
+    # gives that edge: 3 in Z4 included, which the unhinted search never
+    # puts there
+    for g in SURGERIES[surgery](BASES[base]()):
+        searched = {e.id for e in g.edges if e.a != e.b}  # no loops, no free edges
+        for group in (Z4, KLEIN):
+            flow = nowhere_zero_flow(g, group)
+            if flow is None:
+                continue
+            for image in _images(group):
+                hint = {eid: image[x] for eid, x in flow.values.items()}
+                found = nowhere_zero_flow(g, group, hint=hint)
+                assert _check_flow(g, found)
+                assert {e: found.values[e] for e in searched} == {e: hint[e] for e in searched}

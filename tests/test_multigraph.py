@@ -103,7 +103,7 @@ class TestRemoveVertexPair:
     def test_already_dangling_edge_becomes_free(self):
         g = build_graph(2, [(0, 1), (0, DANGLING)])
         out = remove_vertex_pair(g, VertexPair(0, 1))
-        assert len(out.free_edges()) == 1
+        assert sum(e.is_free for e in out.edges) == 1
 
 
 class TestIdentifyVertices:
