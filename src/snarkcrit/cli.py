@@ -203,21 +203,21 @@ def _run_pool(config: RunConfig, items: list[tuple[int, str]]) -> Iterator[Resul
     chunks = (items[i : i + size] for i in range(0, len(items), size))
     pool = ProcessPoolExecutor(max_workers=jobs)
     window: deque = deque()  # submitted and not yet yielded, in input order
-    running: set = set()  # the unfinished chunks of the window
     try:
         while True:
             while window and window[0].done():
                 yield from window.popleft().result()
+            # counted after the yields: more chunks may finish while the consumer runs
+            running = [f for f in window if not f.done()]
             held = len(window) - len(running)
             if len(running) <= jobs and held < _HELD_PER_JOB * jobs:
                 for chunk in islice(chunks, 2 * jobs - len(running)):
                     future = pool.submit(_work_chunk, config.command, chunk)
                     window.append(future)
-                    running.add(future)
+                    running.append(future)
             if not window:
                 return
-            # the head is unfinished, so this waits for at least one chunk
-            running = wait(running, return_when=FIRST_COMPLETED).not_done
+            wait(running, return_when=FIRST_COMPLETED)
     finally:
         pool.shutdown(cancel_futures=True)
 

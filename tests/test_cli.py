@@ -341,6 +341,36 @@ class TestErrors:
         # every chunk after the first was evaluated while graph 1 still ran
         assert max(ends[i] for i in ends if i > chunk) < ends[1]
 
+    def test_pool_drops_no_chunk_that_finishes_while_the_consumer_runs(
+        self, tmp_path, monkeypatch
+    ):
+        # every chunk a wait was given finishes before the pool looks again,
+        # so the set of unfinished chunks that wait returned is stale
+        from concurrent.futures import ALL_COMPLETED
+
+        from snarkcrit import cli
+
+        real_wait = cli.wait
+
+        def late_wait(fs, return_when):
+            first = real_wait(fs, return_when=return_when)
+            real_wait(fs, return_when=ALL_COMPLETED)
+            return first
+
+        def quick_evaluate(command, index, graph):
+            time.sleep(0.01)
+            return Result(index, line=f"graph {index}", pairs=45)
+
+        graphs = 16
+        monkeypatch.setattr(cli, "wait", late_wait)
+        monkeypatch.setattr(cli, "evaluate", quick_evaluate)
+        path = tmp_path / "many.g6"
+        path.write_text((encode_graph6(petersen()) + "\n") * graphs)
+        code, out, _ = run_cli(command="verify-local", input_path=str(path), jobs=2)
+        assert code == EXIT_OK
+        assert out.splitlines()[:graphs] == [f"graph {i}" for i in range(1, graphs + 1)]
+        assert f"checked {graphs} graph(s)" in out
+
     def test_inconsistent_line_names_the_statements(self, monkeypatch):
         from snarkcrit import criticality
 
