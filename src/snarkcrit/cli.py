@@ -21,6 +21,7 @@ equivalent pair of routes disagreed somewhere (an implementation bug).
 from __future__ import annotations
 
 import argparse
+import shlex
 import sys
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -28,7 +29,6 @@ from contextlib import closing
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import islice
-from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 from .criticality import (
@@ -158,16 +158,20 @@ def _work(command: str, item: tuple[int, str]) -> Result:
     try:
         return evaluate(command, index, parse_graph6(line, line_number=index))
     except EquivalenceViolationError as exc:
-        # a single string argument, so the error still pickles across the pool
-        raise EquivalenceViolationError(f"graph {index} ({line}): {exc}") from exc
+        # a single string argument, so the error still pickles across the pool;
+        # instance attributes pickle with it
+        error = EquivalenceViolationError(f"graph {index} ({line}): {exc}")
+        error.graph6 = line
+        raise error from exc
 
 
 # ----------------------------------------------------------------------
 # driver
 
 
-def _results(config: RunConfig) -> tuple[Iterator[Result], int]:
-    """The lazy per-graph results in input order, and how many graphs exceed ``max_order``.
+def _results(config: RunConfig) -> tuple[Iterator[Result], int, dict[int, str]]:
+    """The lazy per-graph results in input order, how many graphs exceed
+    ``max_order``, and the graph6 line of each kept input line number.
 
     Graphs over the order limit are dropped here, before any is evaluated.
     """
@@ -178,10 +182,10 @@ def _results(config: RunConfig) -> tuple[Iterator[Result], int]:
     if config.named is not None:
         graph = make_named(config.named)
         kept = [graph] if fits(graph.order) else []
-        return (evaluate(config.command, 1, g) for g in kept), 1 - len(kept)
+        return (evaluate(config.command, 1, g) for g in kept), 1 - len(kept), {}
     entries = read_graph6_file(config.input_path)
     items = [(e.line_number, e.graph6) for e in entries if fits(e.graph.order)]
-    return _run_pool(config, items), len(entries) - len(items)
+    return _run_pool(config, items), len(entries) - len(items), dict(items)
 
 
 def _run_pool(config: RunConfig, items: list[tuple[int, str]]) -> Iterator[Result]:
@@ -226,29 +230,40 @@ def _work_chunk(command: str, chunk: list[tuple[int, str]]) -> list[Result]:
     return [_work(command, item) for item in chunk]
 
 
-def _input_line(path: str, line_number: int) -> str:
-    """Line ``line_number`` of a graph6 file, split and stripped as the reader does."""
-    return Path(path).read_text().splitlines()[line_number - 1].strip()
+def _reproduce(config: RunConfig, graph6: Optional[str]) -> str:
+    """A shell command that reruns ``config.command`` on one violating graph."""
+    if config.named is not None:
+        source = f"snarkcrit --named {shlex.quote(config.named)}"
+    else:  # graph6 bytes are 63..126, so single quotes need no escaping
+        source = f"printf '%s\\n' '{graph6}' | snarkcrit --input /dev/stdin"
+    return f"reproduce: {source} --command {config.command}"
 
 
 def run(config: RunConfig, out=None, err=None) -> int:
-    """Execute one command; returns the process exit code."""
+    """Execute one command; returns the process exit code.
+
+    Each violating graph also gets a reproducing command on ``err``.
+    """
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
-        results, skipped = _results(config)
+        results, skipped, lines = _results(config)
     except (OSError, GraphError) as exc:
         print(f"error: cannot read input: {exc}", file=err)
         return EXIT_UNREADABLE
     except Graph6ParseError as exc:
         print(f"error: {exc}", file=err)
-        if exc.line_number is not None:
-            line = _input_line(config.input_path, exc.line_number)
-            print(f"offending line {exc.line_number}: {line}", file=err)
+        if exc.line is not None:
+            print(f"offending line {exc.line_number}: {exc.line}", file=err)
         return EXIT_PARSE
 
     if config.command in ("classify", "stats"):
-        records = [r.record for r in results]
+        try:
+            records = [r.record for r in results]
+        except EquivalenceViolationError as exc:
+            # _work puts the graph6 line on the error; a named graph needs none
+            print(_reproduce(config, getattr(exc, "graph6", None)), file=err)
+            raise
         if config.zero_timings:
             records = [
                 replace(rec, coloring_path_micros=None, flow_path_micros=None)
@@ -261,8 +276,14 @@ def run(config: RunConfig, out=None, err=None) -> int:
             return EXIT_OK
         return _print_stats(records, skipped, config, out)
 
+    def reported(results: Iterable[Result]) -> Iterator[Result]:
+        for r in results:
+            if r.violation:
+                print(_reproduce(config, lines.get(r.index)), file=err)
+            yield r
+
     with closing(results):
-        return _print_certificates(results, skipped, config, out)
+        return _print_certificates(reported(results), skipped, config, out)
 
 
 def _print_stats(records, skipped: int, config: RunConfig, out) -> int:

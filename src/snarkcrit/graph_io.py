@@ -27,11 +27,16 @@ GRAPH6_HEADER = ">>graph6<<"
 
 
 class Graph6ParseError(ValueError):
-    """Malformed graph6 input; carries the byte offset of the problem."""
+    """Malformed graph6 input; carries the byte offset of the problem.
+
+    :func:`read_graph6_file` also sets ``line`` to the offending line, as
+    read, so a caller need not read a possibly drained stream again.
+    """
 
     def __init__(self, message: str, offset: int, line_number: Optional[int] = None):
         self.offset = offset
         self.line_number = line_number
+        self.line: Optional[str] = None
         where = f"line {line_number}, " if line_number is not None else ""
         super().__init__(f"{where}byte {offset}: {message}")
 
@@ -172,7 +177,11 @@ def read_graph6_file(path: Union[str, Path]) -> list[CorpusEntry]:
         line = raw.strip()
         if not line:
             continue
-        graph = parse_graph6(line, line_number=line_number)
+        try:
+            graph = parse_graph6(line, line_number=line_number)
+        except Graph6ParseError as exc:
+            exc.line = line
+            raise
         entries.append(
             CorpusEntry(
                 line_number=line_number, graph6=line, graph=graph, source=str(path)

@@ -3,20 +3,22 @@
 Cyclic edge-connectivity is the smallest number of edges whose removal
 leaves at least two components that each contain a cycle; it is undefined
 for graphs without two vertex-disjoint cycles.  For a connected cubic graph
-it is first bracketed between two cheap bounds: below by the
-edge-connectivity lambda (at most 3), which is the answer whenever
-lambda <= 2, and above by the girth, which settles the answer at 3 when
-lambda = 3 and a triangle leaves a cycle behind (six or more vertices).
-Only the remaining graphs get the exhaustive search: lambda = 3 with no
-triangle or fewer than six vertices, which takes in every cyclically
-4-edge-connected graph.  The search pairs up chordless cycles (loops
-count as 1-cycles, parallel pairs as 2-cycles) and takes the minimum edge
-cut separating any vertex-disjoint pair, found by augmenting paths with
-both cycles contracted, stopping early once a cut of size lambda turns
-up.  Every cycle-containing side of a cut contains a chordless cycle, so
-scanning all chordless-cycle pairs is exact.  The tests check the result
-against the plain all-pairs search and, on small instances, against
-exhaustive cut enumeration.
+it is settled where it can be from cycle-space labels of the edges: each
+edge is labelled with the fundamental cycles through it, and an edge set
+is a cut exactly when its labels XOR to zero.  A zero label (a bridge) or
+two equal labels (a 2-edge cut) give the answer 1 or 2.  Otherwise the
+graph is simple or the theta graph, and three labels with XOR zero on
+edges that do not all meet at one vertex are a cyclic 3-cut.  Failing
+that, a 4-cycle settles the answer at 4 once the order is at least 8.
+Only the rest get the exhaustive search: cyclically 4-edge-connected
+graphs of girth at least 5, plus K4, K3,3 and the theta graph.  The
+search pairs up chordless cycles (loops count as 1-cycles, parallel pairs
+as 2-cycles) and takes the minimum edge cut separating any vertex-disjoint
+pair, found by augmenting paths with both cycles contracted, stopping
+early once a cut of size 4 turns up.  Every cycle-containing side of a cut
+contains a chordless cycle, so scanning all chordless-cycle pairs is
+exact.  The tests check the result against the plain all-pairs search
+and, on small instances, against exhaustive cut enumeration.
 """
 
 from __future__ import annotations
@@ -24,9 +26,10 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional, Union
 
-from .multigraph import DANGLING, CubicGraph, GraphError
+from .multigraph import DANGLING, CubicGraph, Edge, GraphError
 
 
 @dataclass(frozen=True)
@@ -142,27 +145,38 @@ def cyclic_edge_connectivity(graph: CubicGraph) -> Optional[int]:
     None means no two vertex-disjoint cycles exist, so no cut can separate
     two cycle-containing parts.  Non-cubic input is refused.
 
-    The value is bracketed first and searched for only if the brackets
-    do not meet:
+    The cuts of size 1, 2 and 3 are read off cycle-space labels, a 4-cycle
+    settles 4, and only the rest is searched for:
 
-    * Lower bound.  A cyclic cut disconnects the graph, so it has at least
-      lambda edges, the edge-connectivity.  The non-loop edges at any
-      vertex form a cut, so lambda <= 3.  When lambda <= 2 the bound is
-      attained: a side S of a k-edge cut spans (3|S| - k) / 2 edges, at
-      least |S| whenever |S| >= k, which holds for k = 1 and, as
-      3|S| - k is even, for k = 2.  A multigraph with at least as many
-      edges as vertices holds a cycle, loops and parallel pairs included,
-      so both sides of a minimum cut hold one.
-    * Upper bound.  The girth bounds the answer from above where the
-      complement of a shortest cycle still holds a cycle; it meets the
-      lower bound only for girth 3.  With lambda = 3 the graph has no
-      loops or parallel edges (either would give a smaller cut) unless it
-      is the theta graph, so a triangle T has |delta(T)| = 3.  G - V(T)
-      has n - 3 vertices and (3(n - 3) - 3) / 2 edges, at least n - 3 once
-      n >= 6, so delta(T) is a cyclic 3-cut and the answer is 3.
+    * Cuts of size 1 and 2.  A cyclic cut disconnects the graph, so it has
+      at least lambda edges, the edge-connectivity.  A zero label is a
+      bridge and two equal labels are a 2-edge cut, so lambda <= 2 is read
+      off the labels, and then it is the answer: a side S of a k-edge cut
+      spans (3|S| - k) / 2 edges, at least |S| whenever |S| >= k, which
+      holds for k = 1 and, as 3|S| - k is even, for k = 2.  A multigraph
+      with at least as many edges as vertices holds a cycle, loops and
+      parallel pairs included, so both sides of a minimum cut hold one.
+    * Cuts of size 3.  Now lambda = 3 (the edges at a vertex form a cut),
+      which rules out loops and parallel edges except in the theta graph,
+      as either would give a smaller cut.  Three edges whose labels XOR to
+      zero form a cut; each nonempty cut has at least 3 edges, so this one
+      is a bond and both of its sides are connected.  If the three edges
+      do not all meet at one vertex, neither side is a single vertex, and
+      no side has 2 vertices, since (3|S| - 3) / 2 must be a whole number.
+      So both sides have |S| >= 3 vertices and span at least |S| edges:
+      both hold a cycle and the cut is a cyclic 3-cut.  Conversely each
+      component left by a cyclic 3-cut is bounded by at least 3 of its 3
+      edges, so there are two, the three edges run between them and they
+      are such a triple.  The third edge of a pair is one dictionary
+      lookup by label, so all triples cost O(m^2).
+    * Size 4.  With no cyclic cut below 4 and order n >= 8, a 4-cycle Q
+      (two vertices with two common neighbours) gives the answer 4.  A
+      chord of Q would leave at most 2 edges in delta(Q), so it has 4 and
+      G - Q has n - 4 vertices and (3(n - 4) - 4) / 2 edges, at least
+      n - 4 once n >= 8.  Both sides hold a cycle.
     * Otherwise every disjoint pair of chordless cycles gets a max-flow,
       capped at the best cut so far, and the search stops once a cut of
-      size lambda turns up.  Every cycle-containing side of a cut holds a
+      size 4 turns up.  Every cycle-containing side of a cut holds a
       chordless cycle, so the minimum over all pairs is exact.
     """
     if not graph.is_cubic or graph.has_dangling:
@@ -170,21 +184,25 @@ def cyclic_edge_connectivity(graph: CubicGraph) -> Optional[int]:
     if not graph.is_connected:
         raise GraphError("cyclic edge-connectivity needs a connected graph")
 
-    lower = _edge_connectivity(graph)
-    if lower <= 2:
-        return lower
-    if graph.order >= 6 and _has_triangle(graph):
+    labels = _cycle_labels(graph)
+    if 0 in labels:  # also with any loop, as the other edge at its vertex is a bridge
+        return 1
+    if len(labels) < len(graph.edges):  # two edges share a label
+        return 2
+    if _has_cyclic_3_cut(labels):
         return 3
-    return _min_cut_over_cycle_pairs(graph, chordless_cycles(graph), lower)
+    if graph.order >= 8 and _has_4_cycle(graph):
+        return 4
+    return _min_cut_over_cycle_pairs(graph, chordless_cycles(graph), 4)
 
 
-def _edge_connectivity(graph: CubicGraph) -> int:
-    """Edge-connectivity of a connected graph with more than one vertex, capped at 3.
+def _cycle_labels(graph: CubicGraph) -> dict[int, Edge]:
+    """The non-loop edges of a connected graph, keyed by their cycle-space labels.
 
     Each edge is labelled with the fundamental cycles through it, relative
     to a BFS spanning tree, as a bit set.  An edge set is a cut exactly
-    when every cycle meets it an even number of times, so a bridge is an
-    edge with an empty label and a 2-edge cut is a pair of equal labels.
+    when every cycle meets it an even number of times, that is when its
+    labels XOR to zero.  Edges with equal labels keep only one entry.
     """
     root = min(graph.vertices)
     tree_edge = {root: None}  # vertex -> the tree edge to its parent
@@ -198,30 +216,51 @@ def _edge_connectivity(graph: CubicGraph) -> int:
 
     tree = {e.id for e in tree_edge.values() if e is not None}
     below = dict.fromkeys(graph.vertices, 0)  # XOR of the non-tree labels at a vertex
-    labels: list[int] = []
+    labels: dict[int, Edge] = {}
     bit = 1
     for e in graph.edges:
         if e.id in tree or e.is_loop:
             continue
-        labels.append(bit)
+        labels[bit] = e
         below[e.a] ^= bit
         below[e.b] ^= bit
         bit <<= 1
     for v in reversed(order[1:]):  # the tree edge above v: the XOR over its subtree
-        labels.append(below[v])
-        below[tree_edge[v].other_endpoint(v)] ^= below[v]
-
-    if 0 in labels:
-        return 1
-    if len(set(labels)) < len(labels):
-        return 2
-    return 3
+        e = tree_edge[v]
+        labels.setdefault(below[v], e)
+        below[e.other_endpoint(v)] ^= below[v]
+    return labels
 
 
-def _has_triangle(graph: CubicGraph) -> bool:
-    """Whether a graph without loops has three pairwise adjacent vertices."""
-    neighbors = {v: graph.neighbors(v) for v in graph.vertices}
-    return any(neighbors[u] & neighbors[w] for u in neighbors for w in neighbors[u])
+def _has_cyclic_3_cut(labels: dict[int, Edge]) -> bool:
+    """Whether three edges with labels XOR zero do not all meet at one vertex.
+
+    ``labels`` maps distinct nonzero labels to their edges; the third edge
+    of each pair is the one labelled with the XOR of the pair's labels.
+    """
+    items = list(labels.items())
+    for i, (x, e) in enumerate(items):
+        ends = {e.a, e.b}
+        for y, f in items[i + 1 :]:
+            g = labels.get(x ^ y)
+            if g is not None and not ends.intersection((f.a, f.b), (g.a, g.b)):
+                return True
+    return False
+
+
+def _has_4_cycle(graph: CubicGraph) -> bool:
+    """Whether two vertices of a simple graph have two common neighbours."""
+    adj: dict[int, list[int]] = {v: [] for v in graph.vertices}
+    for e in graph.edges:
+        adj[e.a].append(e.b)
+        adj[e.b].append(e.a)
+    spanned = set()  # pairs of vertices with a common neighbour
+    for around in adj.values():
+        for pair in combinations(sorted(around), 2):
+            if pair in spanned:
+                return True
+            spanned.add(pair)
+    return False
 
 
 def _min_cut_over_cycle_pairs(

@@ -233,6 +233,19 @@ class TestErrors:
         assert "line 2" in err
         assert "offending line 2: IheA@GUAo\x7f\n" in err
 
+    def test_parse_error_on_piped_input(self):
+        # the offending line comes from the reader, not from a second read
+        # of a pipe that is already drained
+        proc = subprocess.run(
+            [sys.executable, "-m", "snarkcrit.cli", "--input", "/dev/stdin"],
+            input="I?h]@eOWG\n!!bad\n",
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == EXIT_PARSE
+        assert "offending line 2: !!bad\n" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_violation_exit_code(self):
         # synthetic inconsistent result exercises the exit path; the
         # honest pipeline cannot produce one without a solver bug
@@ -405,6 +418,80 @@ class TestErrors:
         assert main(["--input", str(path), "--command", "classify"]) == EXIT_VIOLATION
         err = capsys.readouterr().err
         assert f"graph 2 ({lines[1]}): routes disagree" in err
+
+
+class TestReproduce:
+    """A violating graph gets a one-line command that reruns it alone."""
+
+    @pytest.fixture
+    def flipped_identification(self, monkeypatch):
+        from snarkcrit import criticality
+
+        real = criticality.flow_on_identification
+
+        def flipped(graph, pair, group, *, hint=None):
+            flow = real(graph, pair, group, hint=hint)
+            return None if pair == VertexPair(0, 2) else flow
+
+        monkeypatch.setattr(criticality, "flow_on_identification", flipped)
+
+    @pytest.mark.parametrize("command", ["classify", "verify-local"])
+    def test_graph6_input(self, command, tmp_path, capsys, flipped_identification):
+        line = encode_graph6(petersen())
+        path = tmp_path / "one.g6"
+        path.write_text(line + "\n")
+        assert main(["--input", str(path), "--command", command]) == EXIT_VIOLATION
+        out, err = capsys.readouterr()
+        reproduce = (
+            f"reproduce: printf '%s\\n' '{line}' | snarkcrit --input /dev/stdin "
+            f"--command {command}\n"
+        )
+        assert reproduce in err
+        assert err.count("reproduce:") == 1
+        assert "reproduce" not in out
+
+        # the command's own input reproduces the violation
+        again = tmp_path / "again.g6"
+        again.write_text(line + "\n")
+        assert main(["--input", str(again), "--command", command]) == EXIT_VIOLATION
+
+    @pytest.mark.parametrize("command", ["classify", "verify-local"])
+    def test_named_graph(self, command, capsys, flipped_identification):
+        assert main(["--named", "petersen", "--command", command]) == EXIT_VIOLATION
+        err = capsys.readouterr().err
+        assert f"reproduce: snarkcrit --named petersen --command {command}\n" in err
+
+    def test_one_line_per_violating_graph(self, tmp_path, capsys, monkeypatch):
+        lines = [encode_graph6(petersen()), encode_graph6(blanusa(1))]
+        path = tmp_path / "three.g6"
+        path.write_text("\n".join([lines[0], lines[1], lines[0]]) + "\n")
+        assert main(["--input", str(path), "--command", "verify-local"]) == EXIT_OK
+        clean = capsys.readouterr()
+        assert "reproduce" not in clean.err
+
+        from snarkcrit import criticality
+
+        real = criticality.flow_on_identification
+
+        def flipped(graph, pair, group, *, hint=None):
+            flow = real(graph, pair, group, hint=hint)
+            return None if graph.order == 10 and pair == VertexPair(0, 2) else flow
+
+        monkeypatch.setattr(criticality, "flow_on_identification", flipped)
+        assert main(["--input", str(path), "--command", "verify-local"]) == EXIT_VIOLATION
+        out, err = capsys.readouterr()
+        assert err.count("reproduce:") == 2 and err.count(lines[0]) == 2
+        assert lines[1] not in err
+        assert out.splitlines()[1] == clean.out.splitlines()[1]  # Blanusa's line
+        assert "reproduce" not in out
+
+    def test_named_is_shell_quoted(self):
+        from snarkcrit.cli import _reproduce
+
+        config = RunConfig(command="verify-strong", named="flower(7)")
+        assert _reproduce(config, None) == (
+            "reproduce: snarkcrit --named 'flower(7)' --command verify-strong"
+        )
 
 
 class TestEntryPoint:

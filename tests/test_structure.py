@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings
 
+from snarkcrit import structure
 from snarkcrit.graph_io import blanusa, flower_snark
 from snarkcrit.multigraph import GraphError, build_graph, expand_triangle
 from snarkcrit.structure import (
@@ -176,6 +177,106 @@ class TestCyclicConnectivityMatchesCyclePairs:
         values = [cyclic_edge_connectivity(g) for g in named]
         assert values == [cyclic_connectivity_by_cycle_pairs(g) for g in named]
         assert values == [None, None, 1, 5, 4, 4, 2]
+
+
+def _cube() -> list[tuple[int, int]]:
+    """Edges of the 3-cube Q3 on vertices 0..7: differ in one bit."""
+    return [(v, v ^ bit) for v in range(8) for bit in (1, 2, 4) if v < v ^ bit]
+
+
+def _prism():
+    return build_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
+                           (0, 3), (1, 4), (2, 5)])
+
+
+def _joined_cubes():
+    """Two copies of Q3 minus vertex 7, joined at their degree-2 vertices 3, 5, 6."""
+    half = [(a, b) for a, b in _cube() if 7 not in (a, b)]
+    edges = half + [(a + 7, b + 7) for a, b in half] + [(v, v + 7) for v in (3, 5, 6)]
+    return build_graph(14, edges)
+
+
+@pytest.fixture
+def branch_of(monkeypatch):
+    """Names the branch of ``cyclic_edge_connectivity`` that settles a graph."""
+    seen: list[str] = []
+
+    def spy(name: str):
+        real = getattr(structure, name)
+
+        def wrapper(*args):
+            result = real(*args)
+            if result:
+                seen.append(name)
+            return result
+
+        monkeypatch.setattr(structure, name, wrapper)
+
+    for name in ("_has_cyclic_3_cut", "_has_4_cycle", "chordless_cycles"):
+        spy(name)
+
+    def branch(graph) -> tuple[str, object]:
+        seen.clear()
+        value = cyclic_edge_connectivity(graph)
+        if "chordless_cycles" in seen:
+            return "pair search", value
+        if seen:
+            return seen[-1], value
+        return "lambda", value
+
+    return branch
+
+
+class TestCyclicConnectivityBranches:
+    """Each way the bracket settles a graph, against the cycle-pair oracle."""
+
+    def test_larger_random_simple_cubic(self):
+        for order in range(18, 26, 2):
+            for g in random_cubic_graphs(20, (order,), seed=order):
+                assert cyclic_edge_connectivity(g) == cyclic_connectivity_by_cycle_pairs(g)
+
+    def test_every_branch_is_taken(self, branch_of, petersen_graph):
+        graphs = random_cubic_graphs(40, (10, 12, 14, 16), seed=8)
+        graphs += random_cubic_multigraphs(40, (6, 8, 10), seed=9)
+        graphs += [petersen_graph, blanusa(1)]  # girth 5: cyclic connectivity 5 and 4
+        taken = {}
+        for g in graphs:
+            branch, value = branch_of(g)
+            taken.setdefault(branch, set()).add(value)
+            assert value == cyclic_connectivity_by_cycle_pairs(g)
+        assert taken["lambda"] <= {1, 2} and taken["lambda"]
+        assert taken["_has_cyclic_3_cut"] == {3}
+        assert taken["_has_4_cycle"] == {4}
+        assert {4, 5} <= taken["pair search"]
+
+    def test_boundary_cases(self, branch_of, k4, theta_graph):
+        k33 = build_graph(6, [(i, j) for i in (0, 1, 2) for j in (3, 4, 5)])
+        cases = [
+            (k4, "pair search", None),
+            (theta_graph, "pair search", None),
+            (k33, "pair search", None),  # order 6, girth 4
+            (_prism(), "_has_cyclic_3_cut", 3),  # the cut around a triangle
+            (build_graph(8, _cube()), "_has_4_cycle", 4),
+            (_joined_cubes(), "_has_cyclic_3_cut", 3),  # triangle-free
+        ]
+        for graph, branch, value in cases:
+            assert branch_of(graph) == (branch, value)
+            assert cyclic_connectivity_by_cycle_pairs(graph) == value
+        assert girth(_joined_cubes()) == 4
+        assert cyclic_cut_by_subset_enumeration(_joined_cubes(), 3) == 3
+
+    def test_settled_graphs_never_reach_the_search(self, monkeypatch, petersen_graph):
+        def refuse(graph):
+            raise AssertionError("chordless-cycle search reached")
+
+        monkeypatch.setattr(structure, "chordless_cycles", refuse)
+        assert cyclic_edge_connectivity(_prism()) == 3
+        assert cyclic_edge_connectivity(build_graph(8, _cube())) == 4
+        assert cyclic_edge_connectivity(_joined_cubes()) == 3
+        # girth 5 and 6 leave the bracket open: the search must still run
+        for graph in (petersen_graph, flower_snark(7)):
+            with pytest.raises(AssertionError, match="search reached"):
+                cyclic_edge_connectivity(graph)
 
 
 class TestChordlessCycles:
