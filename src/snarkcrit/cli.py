@@ -202,9 +202,13 @@ def _run_pool(config: RunConfig, items: list[tuple[int, str]]) -> Iterator[Resul
     if config.jobs == 1:
         yield from map(partial(_work, config.command), items)
         return
-    jobs = config.jobs
-    size = max(1, len(items) // (jobs * 4))
-    chunks = (items[i : i + size] for i in range(0, len(items), size))
+    size = max(1, len(items) // (config.jobs * 4))
+    starts = range(0, len(items), size)
+    if not starts:
+        return
+    # no more workers than chunks: a forked pool starts them all at the first submit
+    jobs = min(config.jobs, len(starts))
+    chunks = (items[i : i + size] for i in starts)
     pool = ProcessPoolExecutor(max_workers=jobs)
     window: deque = deque()  # submitted and not yet yielded, in input order
     try:

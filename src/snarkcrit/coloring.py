@@ -48,9 +48,6 @@ class EdgeColoring:
     graph: CubicGraph
     assignment: dict[int, KleinColor]
 
-    def color(self, edge_id: int) -> KleinColor:
-        return self.assignment[edge_id]
-
     def is_proper(self) -> bool:
         """Check the defining constraints directly against the graph.
 

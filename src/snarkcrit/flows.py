@@ -137,9 +137,6 @@ class FlowAssignment:
     orientation: dict[int, Endpoint]  # edge id -> head endpoint
     values: dict[int, int]
 
-    def value(self, edge_id: int) -> int:
-        return self.values[edge_id]
-
     def is_nowhere_zero(self) -> bool:
         return all(v != 0 for v in self.values.values())
 

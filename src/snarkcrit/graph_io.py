@@ -166,7 +166,6 @@ class CorpusEntry:
     line_number: int  # 1-based
     graph6: str
     graph: CubicGraph
-    source: str
 
 
 def read_graph6_file(path: Union[str, Path]) -> list[CorpusEntry]:
@@ -182,11 +181,7 @@ def read_graph6_file(path: Union[str, Path]) -> list[CorpusEntry]:
         except Graph6ParseError as exc:
             exc.line = line
             raise
-        entries.append(
-            CorpusEntry(
-                line_number=line_number, graph6=line, graph=graph, source=str(path)
-            )
-        )
+        entries.append(CorpusEntry(line_number=line_number, graph6=line, graph=graph))
     return entries
 
 
@@ -302,9 +297,6 @@ def make_named(name: str) -> CubicGraph:
     if m:
         return flower_snark(int(m.group(1)))
     raise GraphError(f"unknown named graph {name!r}")
-
-
-NAMED_GRAPHS = ("dumbbell", "petersen", "theta", "k4", "blanusa1", "blanusa2", "flower(k)")
 
 
 # ----------------------------------------------------------------------

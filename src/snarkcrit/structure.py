@@ -1,11 +1,14 @@
 """Structural diagnostics: girth, bridges, cyclic edge-connectivity.
 
+Each edge that is neither a loop nor dangling gets a cycle-space label:
+the fundamental cycles through it, relative to a BFS spanning forest.  An
+edge set is a cut exactly when its labels XOR to zero, so a bridge is an
+edge whose label is zero.  Girth is a BFS from every vertex.
+
 Cyclic edge-connectivity is the smallest number of edges whose removal
 leaves at least two components that each contain a cycle; it is undefined
 for graphs without two vertex-disjoint cycles.  For a connected cubic graph
-it is settled where it can be from cycle-space labels of the edges: each
-edge is labelled with the fundamental cycles through it, and an edge set
-is a cut exactly when its labels XOR to zero.  A zero label (a bridge) or
+it is settled where it can be from the labels.  A zero label (a bridge) or
 two equal labels (a 2-edge cut) give the answer 1 or 2.  Otherwise the
 graph is simple or the theta graph, and three labels with XOR zero on
 edges that do not all meet at one vertex are a cyclic 3-cut.  Failing
@@ -24,9 +27,8 @@ and, on small instances, against exhaustive cut enumeration.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Optional, Union
 
 from .multigraph import DANGLING, CubicGraph, Edge, GraphError
@@ -58,85 +60,44 @@ def structure_profile(graph: CubicGraph) -> StructureProfile:
 
 
 def girth(graph: CubicGraph) -> Union[int, float]:
-    """Length of a shortest cycle: a loop is 1, a parallel pair 2, forests inf."""
-    if any(e.is_loop for e in graph.edges):
-        return 1
-    seen_pairs = set()
-    for e in graph.edges:
-        reals = e.real_endpoints()
-        if len(reals) == 2:
-            key = frozenset(reals)
-            if key in seen_pairs:
-                return 2
-            seen_pairs.add(key)
-    # simple at this point: BFS from every vertex, shortest cycle through edges
-    adj: dict[int, list[int]] = {v: [] for v in graph.vertices}
-    for e in graph.edges:
-        reals = e.real_endpoints()
-        if len(reals) == 2:
-            adj[reals[0]].append(reals[1])
-            adj[reals[1]].append(reals[0])
+    """Length of a shortest cycle: a loop is 1, a parallel pair 2, forests inf.
+
+    A BFS from every vertex.  Any edge at x other than the one that reached
+    x, leading to a reached vertex y, closes a walk of length
+    dist(x) + dist(y) + 1 that holds a cycle, and from a root on a shortest
+    cycle some such edge gives exactly its length.  A loop (y = x) and the
+    second edge of a parallel pair are such edges, so they need no rule of
+    their own.
+    """
     best = math.inf
-    for s in graph.vertices:
-        dist = {s: 0}
-        parent = {s: -1}
-        queue = deque([s])
-        while queue:
-            x = queue.popleft()
+    for root in graph.vertices:
+        dist = {root: 0}
+        via = {root: None}  # vertex -> the edge that reached it
+        queue = [root]
+        for x in queue:  # ``queue`` grows while it is walked
             if dist[x] * 2 >= best:
                 break
-            for y in adj[x]:
+            for e in graph.incident_edges(x):
+                if e is via[x]:
+                    continue
+                y = e.other_endpoint(x)
+                if y is DANGLING:
+                    continue
                 if y not in dist:
                     dist[y] = dist[x] + 1
-                    parent[y] = x
+                    via[y] = e
                     queue.append(y)
-                elif parent[x] != y:
+                else:
                     best = min(best, dist[x] + dist[y] + 1)
     return best
 
 
 def find_bridges(graph: CubicGraph) -> tuple[int, ...]:
-    """Ids of all cut-edges; loops, parallels, and dangling edges never qualify."""
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    bridges: list[int] = []
-    counter = 0
-    inc = {
-        v: [
-            (e.id, e.other_endpoint(v))
-            for e in graph.incident_edges(v)
-            if not e.is_loop and e.other_endpoint(v) is not DANGLING
-        ]
-        for v in graph.vertices
-    }
-    for root in sorted(graph.vertices):
-        if root in disc:
-            continue
-        # iterative DFS; entering edge ids distinguish parallel companions
-        stack: list[tuple[int, int, int]] = [(root, -1, 0)]
-        disc[root] = low[root] = counter
-        counter += 1
-        while stack:
-            v, via, i = stack.pop()
-            if i < len(inc[v]):
-                stack.append((v, via, i + 1))
-                eid, w = inc[v][i]
-                if eid == via:
-                    continue
-                if w not in disc:
-                    disc[w] = low[w] = counter
-                    counter += 1
-                    stack.append((w, eid, 0))
-                else:
-                    low[v] = min(low[v], disc[w])
-            elif via != -1:
-                # leaving v: fold its low value into the parent
-                e = graph.edge(via)
-                p = e.other_endpoint(v)
-                low[p] = min(low[p], low[v])
-                if low[v] > disc[p]:
-                    bridges.append(via)
-    return tuple(sorted(bridges))
+    """Ids of all cut-edges: the edges whose label over the BFS forest is zero.
+
+    Loops, dangling edges and free edges get no label and never qualify.
+    """
+    return tuple(sorted(eid for eid, label in _cycle_labels(graph).items() if not label))
 
 
 def cyclic_edge_connectivity(graph: CubicGraph) -> Optional[int]:
@@ -184,7 +145,9 @@ def cyclic_edge_connectivity(graph: CubicGraph) -> Optional[int]:
     if not graph.is_connected:
         raise GraphError("cyclic edge-connectivity needs a connected graph")
 
-    labels = _cycle_labels(graph)
+    labels: dict[int, Edge] = {}  # label -> edge; equal labels keep the first edge
+    for eid, label in _cycle_labels(graph).items():
+        labels.setdefault(label, graph.edge(eid))
     if 0 in labels:  # also with any loop, as the other edge at its vertex is a bridge
         return 1
     if len(labels) < len(graph.edges):  # two edges share a label
@@ -196,39 +159,46 @@ def cyclic_edge_connectivity(graph: CubicGraph) -> Optional[int]:
     return _min_cut_over_cycle_pairs(graph, chordless_cycles(graph), 4)
 
 
-def _cycle_labels(graph: CubicGraph) -> dict[int, Edge]:
-    """The non-loop edges of a connected graph, keyed by their cycle-space labels.
+def _cycle_labels(graph: CubicGraph) -> dict[int, int]:
+    """Edge id -> cycle-space label, for every edge that is neither a loop nor dangling.
 
     Each edge is labelled with the fundamental cycles through it, relative
-    to a BFS spanning tree, as a bit set.  An edge set is a cut exactly
-    when every cycle meets it an even number of times, that is when its
-    labels XOR to zero.  Edges with equal labels keep only one entry.
+    to a BFS spanning forest (one tree per component, rooted at its
+    smallest vertex), as a bit set.  An edge set is a cut exactly when
+    every cycle meets it an even number of times, that is when its labels
+    XOR to zero.  So a bridge is an edge whose label is zero.
     """
-    root = min(graph.vertices)
-    tree_edge = {root: None}  # vertex -> the tree edge to its parent
-    order = [root]
-    for v in order:  # BFS; ``order`` grows while it is walked
-        for e in graph.incident_edges(v):
-            w = e.other_endpoint(v)
-            if w not in tree_edge and w is not DANGLING:
-                tree_edge[w] = e
-                order.append(w)
+    tree_edge: dict[int, Optional[Edge]] = {}  # vertex -> the tree edge to its parent
+    order: list[int] = []  # BFS order, one tree after another
+    for root in sorted(graph.vertices):
+        if root in tree_edge:
+            continue
+        tree_edge[root] = None
+        order.append(root)
+        # this tree's BFS; ``order`` grows while it is walked
+        for v in islice(order, len(order) - 1, None):
+            for e in graph.incident_edges(v):
+                w = e.other_endpoint(v)
+                if w not in tree_edge and w is not DANGLING:
+                    tree_edge[w] = e
+                    order.append(w)
 
     tree = {e.id for e in tree_edge.values() if e is not None}
     below = dict.fromkeys(graph.vertices, 0)  # XOR of the non-tree labels at a vertex
-    labels: dict[int, Edge] = {}
+    labels: dict[int, int] = {}
     bit = 1
     for e in graph.edges:
-        if e.id in tree or e.is_loop:
+        if e.id in tree or e.a is DANGLING or e.b is DANGLING or e.a == e.b:
             continue
-        labels[bit] = e
+        labels[e.id] = bit
         below[e.a] ^= bit
         below[e.b] ^= bit
         bit <<= 1
-    for v in reversed(order[1:]):  # the tree edge above v: the XOR over its subtree
+    for v in reversed(order):  # the tree edge above v: the XOR over its subtree
         e = tree_edge[v]
-        labels.setdefault(below[v], e)
-        below[e.other_endpoint(v)] ^= below[v]
+        if e is not None:
+            labels[e.id] = below[v]
+            below[e.other_endpoint(v)] ^= below[v]
     return labels
 
 

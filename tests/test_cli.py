@@ -384,6 +384,31 @@ class TestErrors:
         assert out.splitlines()[:graphs] == [f"graph {i}" for i in range(1, graphs + 1)]
         assert f"checked {graphs} graph(s)" in out
 
+    def test_pool_asks_for_no_more_workers_than_chunks(self, tmp_path, monkeypatch):
+        # a thread pool stands in for the process pool and records its size
+        from concurrent.futures import ThreadPoolExecutor
+
+        from snarkcrit import cli
+
+        asked = []
+
+        def recording_pool(max_workers):
+            asked.append(max_workers)
+            return ThreadPoolExecutor(max_workers=max_workers)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", recording_pool)
+        path = tmp_path / "three.g6"
+        path.write_text((encode_graph6(petersen()) + "\n") * 3)
+        code, out, _ = run_cli(command="classify", input_path=str(path), jobs=8)
+        assert code == EXIT_OK
+        assert asked and max(asked) <= 3
+        assert [row.split(",")[0] for row in out.splitlines()[1:]] == ["1", "2", "3"]
+
+        empty = tmp_path / "empty.g6"
+        empty.write_text("")
+        code, _, _ = run_cli(command="classify", input_path=str(empty), jobs=2)
+        assert code == EXIT_OK
+
     def test_inconsistent_line_names_the_statements(self, monkeypatch):
         from snarkcrit import criticality
 

@@ -1,13 +1,21 @@
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 
 from snarkcrit import structure
-from snarkcrit.graph_io import blanusa, flower_snark
-from snarkcrit.multigraph import GraphError, build_graph, expand_triangle
+from snarkcrit.graph_io import blanusa, flower_snark, read_graph6_file
+from snarkcrit.multigraph import (
+    GraphError,
+    VertexPair,
+    build_graph,
+    delete_edge,
+    expand_triangle,
+    remove_vertex_pair,
+)
 from snarkcrit.structure import (
     chordless_cycles,
     cyclic_edge_connectivity,
@@ -313,3 +321,24 @@ def test_girth_matches_oracle(g):
 @settings(max_examples=100, deadline=None)
 def test_bridges_match_oracle(g):
     assert find_bridges(g) == bridges_by_removal(g)
+
+
+def test_bridges_and_girth_match_oracles_beyond_seven_vertices(corpus_path):
+    snark = read_graph6_file(corpus_path)[0].graph
+    graphs = random_cubic_multigraphs(40, (10, 12, 14, 16, 18, 20), seed=11)
+    graphs += random_cubic_graphs(40, (10, 12, 14, 16, 18, 20, 22, 24), seed=12)
+    graphs += [
+        remove_vertex_pair(snark, VertexPair(u, v))
+        for u, v in combinations(sorted(snark.vertices), 2)
+    ]
+    graphs += [delete_edge(snark, e.id) for e in snark.edges]
+    assert any(e.is_loop for g in graphs for e in g.edges)
+    assert any(girth(g) == 2 for g in graphs)
+    assert any(g.has_dangling for g in graphs)
+    with_bridges = 0
+    for g in graphs:
+        bridges = find_bridges(g)
+        assert bridges == bridges_by_removal(g)
+        assert girth(g) == girth_by_cycle_enumeration(g)
+        with_bridges += bool(bridges)
+    assert with_bridges >= 20
