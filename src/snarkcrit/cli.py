@@ -359,17 +359,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        input_path=args.input,
-        named=args.named,
-        jobs=args.jobs,
-        format=args.format,
-        max_order=args.max_order,
-        fail_fast=args.fail_fast,
-        zero_timings=args.zero_timings,
-    )
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        config = RunConfig(
+            command=args.command,
+            input_path=args.input,
+            named=args.named,
+            jobs=args.jobs,
+            format=args.format,
+            max_order=args.max_order,
+            fail_fast=args.fail_fast,
+            zero_timings=args.zero_timings,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))  # exits 2 with the usage
     try:
         code = run(config)
     except EquivalenceViolationError as exc:

@@ -238,58 +238,24 @@ def _snark_table(graph: CubicGraph, table: Optional[DecisionTable]) -> DecisionT
 
 
 @dataclass(frozen=True)
-class EdgeStatements:
-    """The three per-edge statements for one edge connecting an adjacent pair."""
-
-    edge_id: int
-    flow_after_deletion: bool
-    flow_after_contraction: bool
-    suppressible: bool
-    colorable_after_suppression: Optional[bool]  # None when not suppressible
-    deletion_flow: Optional[FlowAssignment]
-    contraction_flow: Optional[FlowAssignment]
-    suppression_coloring: Optional[EdgeColoring]
-
-
-@dataclass(frozen=True)
 class PairReport:
-    """All statements that apply to one vertex pair, with witnesses.
+    """The verdicts of all statements that apply to one vertex pair.
 
-    ``degenerate`` flags pairs whose removal deleted loops or more than one
-    connecting edge; for such inputs the removal convention (delete, do not
-    keep free stubs) can matter, so reports surface it.
+    ``values`` holds (statement name, verdict) in the fixed order of
+    :meth:`statements`; witnesses are not kept, :meth:`DecisionTable.decide`
+    returns them.  ``degenerate`` flags pairs whose removal deleted loops or
+    more than one connecting edge; for such inputs the removal convention
+    (delete, do not keep free stubs) can matter, so reports surface it.
     """
 
     pair: VertexPair
     adjacent: bool
     degenerate: bool
-    colorable_after_removal: bool
-    flow_after_removal: bool
-    flow_after_identification: bool
-    flow_after_edge_deletion: Optional[bool]
-    flow_after_contraction: Optional[bool]
-    colorable_after_suppression: Optional[bool]
-    per_edge: tuple[EdgeStatements, ...]
-    removal_coloring: Optional[EdgeColoring]
-    removal_flow: Optional[FlowAssignment]
-    identification_flow: Optional[FlowAssignment]
+    values: tuple[tuple[str, bool], ...]
 
     def statements(self) -> dict[str, bool]:
         """The statements that are present for this pair."""
-        out = {
-            "colorable_after_removal": self.colorable_after_removal,
-            "flow_after_removal": self.flow_after_removal,
-            "flow_after_identification": self.flow_after_identification,
-        }
-        for name in (
-            "flow_after_edge_deletion",
-            "flow_after_contraction",
-            "colorable_after_suppression",
-        ):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        return out
+        return dict(self.values)
 
     @property
     def consistent(self) -> bool:
@@ -301,72 +267,45 @@ def pair_status(
 ) -> PairReport:
     """Evaluate every applicable statement for one pair of a snark.
 
-    Each statement runs through its own decision path; witnesses are kept,
-    so every statement is decided afresh.  Refuses non-snarks, whose pairs
-    the equivalence says nothing about.
+    Each statement runs through its own decision path; one the table already
+    holds is read, not decided again.  Refuses non-snarks, whose pairs the
+    equivalence says nothing about.
     """
     return _pair_report(_snark_table(graph, table), pair)
 
 
 def _pair_report(table: DecisionTable, pair: VertexPair) -> PairReport:
+    """Decide the pair's statements in a fixed order, so hints repeat.
+
+    An adjacent pair's per-edge verdicts are ANDed over its connecting
+    edges; suppression is left out when no connecting edge can be suppressed.
+    """
     graph = table.graph
     u, v = pair
-    removal_coloring = table.decide(REMOVAL, pair, COLORING)
-    removal_flow = table.decide(REMOVAL, pair, FLOW)
-    identification_flow = table.decide(IDENTIFICATION, pair, FLOW)
-
-    connecting = graph.connecting_edges(u, v)
-    degenerate = bool(graph.loops_at(u) or graph.loops_at(v) or len(connecting) > 1)
-
-    per_edge = []
-    for eid in connecting:
-        deletion_flow = table.decide(DELETION, eid, FLOW)
-        contraction_flow = table.decide(CONTRACTION, eid, FLOW)
-        try:
-            suppression_coloring = table.decide(SUPPRESSION, eid, COLORING)
-        except NonSuppressibleError:
-            suppressible = False
-            suppression_coloring = None
-        else:
-            suppressible = True
-        per_edge.append(
-            EdgeStatements(
-                edge_id=eid,
-                flow_after_deletion=deletion_flow is not None,
-                flow_after_contraction=contraction_flow is not None,
-                suppressible=suppressible,
-                colorable_after_suppression=(
-                    suppression_coloring is not None if suppressible else None
-                ),
-                deletion_flow=deletion_flow,
-                contraction_flow=contraction_flow,
-                suppression_coloring=suppression_coloring,
-            )
-        )
-
-    suppression_verdicts = [
-        s.colorable_after_suppression for s in per_edge if s.suppressible
+    values = [
+        ("colorable_after_removal", table.verdict(REMOVAL, pair, COLORING)),
+        ("flow_after_removal", table.verdict(REMOVAL, pair, FLOW)),
+        ("flow_after_identification", table.verdict(IDENTIFICATION, pair, FLOW)),
     ]
+    connecting = graph.connecting_edges(u, v)
+    deletion, contraction, suppression = [], [], []
+    for eid in connecting:
+        deletion.append(table.verdict(DELETION, eid, FLOW))
+        contraction.append(table.verdict(CONTRACTION, eid, FLOW))
+        try:
+            suppression.append(table.verdict(SUPPRESSION, eid, COLORING))
+        except NonSuppressibleError:
+            pass
+    if connecting:
+        values.append(("flow_after_edge_deletion", all(deletion)))
+        values.append(("flow_after_contraction", all(contraction)))
+    if suppression:
+        values.append(("colorable_after_suppression", all(suppression)))
     return PairReport(
         pair=pair,
         adjacent=bool(connecting),
-        degenerate=degenerate,
-        colorable_after_removal=removal_coloring is not None,
-        flow_after_removal=removal_flow is not None,
-        flow_after_identification=identification_flow is not None,
-        flow_after_edge_deletion=(
-            all(s.flow_after_deletion for s in per_edge) if per_edge else None
-        ),
-        flow_after_contraction=(
-            all(s.flow_after_contraction for s in per_edge) if per_edge else None
-        ),
-        colorable_after_suppression=(
-            all(suppression_verdicts) if suppression_verdicts else None
-        ),
-        per_edge=tuple(per_edge),
-        removal_coloring=removal_coloring,
-        removal_flow=removal_flow,
-        identification_flow=identification_flow,
+        degenerate=bool(graph.loops_at(u) or graph.loops_at(v) or len(connecting) > 1),
+        values=tuple(values),
     )
 
 
@@ -414,8 +353,6 @@ class EdgeStrongStatus:
     """Both strength routes for one non-loop edge."""
 
     edge_id: int
-    pair: VertexPair
-    suppressible: bool
     suppression_is_snark: Optional[bool]  # None when not suppressible
     removal_uncolorable: bool  # chromatic index 4 after removing the pair
 
@@ -423,20 +360,19 @@ class EdgeStrongStatus:
     def verdict(self) -> bool:
         # the suppression route, falling back to the pair route when the
         # edge cannot be suppressed
-        if self.suppressible:
-            return bool(self.suppression_is_snark)
-        return self.removal_uncolorable
+        if self.suppression_is_snark is None:
+            return self.removal_uncolorable
+        return self.suppression_is_snark
 
     @property
     def routes_agree(self) -> Optional[bool]:
-        if not self.suppressible:
+        if self.suppression_is_snark is None:
             return None
         return self.suppression_is_snark == self.removal_uncolorable
 
 
 @dataclass(frozen=True)
 class StrongCertificate:
-    order: int
     per_edge: tuple[EdgeStrongStatus, ...]
     loop_edges_skipped: int
 
@@ -459,7 +395,7 @@ class StrongCertificate:
 
     @property
     def non_suppressible_edges(self) -> tuple[int, ...]:
-        return tuple(s.edge_id for s in self.per_edge if not s.suppressible)
+        return tuple(s.edge_id for s in self.per_edge if s.suppression_is_snark is None)
 
 
 def strong_certificate(
@@ -480,30 +416,15 @@ def strong_certificate(
         if e.is_loop:
             loops_skipped += 1
             continue
-        pair = VertexPair(e.a, e.b)
-        removal_uncolorable = table.uncolorable_after_removal(pair)
+        removal_uncolorable = table.uncolorable_after_removal(VertexPair(e.a, e.b))
         try:
             suppressed = suppress_edge(graph, e.id)
         except NonSuppressibleError:
-            suppressible = False
             suppressed_snark = None
         else:
-            suppressible = True
             suppressed_snark = is_snark(suppressed)
-        statuses.append(
-            EdgeStrongStatus(
-                edge_id=e.id,
-                pair=pair,
-                suppressible=suppressible,
-                suppression_is_snark=suppressed_snark,
-                removal_uncolorable=removal_uncolorable,
-            )
-        )
-    return StrongCertificate(
-        order=graph.order,
-        per_edge=tuple(statuses),
-        loop_edges_skipped=loops_skipped,
-    )
+        statuses.append(EdgeStrongStatus(e.id, suppressed_snark, removal_uncolorable))
+    return StrongCertificate(per_edge=tuple(statuses), loop_edges_skipped=loops_skipped)
 
 
 def is_strong(graph: CubicGraph, *, table: Optional[DecisionTable] = None) -> bool:
@@ -524,7 +445,6 @@ def is_strong(graph: CubicGraph, *, table: Optional[DecisionTable] = None) -> bo
 
 @dataclass(frozen=True)
 class LocalEquivalenceCertificate:
-    order: int
     reports: tuple[PairReport, ...]
 
     @property
@@ -554,12 +474,11 @@ def verify_local_equivalence(
     """
     table = _snark_table(graph, table)
     reports = tuple(_pair_report(table, p) for p in table.pairs)
-    return LocalEquivalenceCertificate(order=graph.order, reports=reports)
+    return LocalEquivalenceCertificate(reports=reports)
 
 
 @dataclass(frozen=True)
 class CoincidenceCertificate:
-    order: int
     critical: bool
     edge_flow_critical: bool
     bicritical: bool
@@ -609,7 +528,6 @@ def verify_classifier_coincidence(
     )
     t2 = time.perf_counter()
     return CoincidenceCertificate(
-        order=graph.order,
         critical=critical,
         edge_flow_critical=edge_flow_critical,
         bicritical=bicritical,

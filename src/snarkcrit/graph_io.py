@@ -15,7 +15,7 @@ import io
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Optional, Union
@@ -30,7 +30,8 @@ class Graph6ParseError(ValueError):
     """Malformed graph6 input; carries the byte offset of the problem.
 
     :func:`read_graph6_file` also sets ``line`` to the offending line, as
-    read, so a caller need not read a possibly drained stream again.
+    read with non-ASCII bytes backslash-escaped, so a caller need not read a
+    possibly drained stream again.
     """
 
     def __init__(self, message: str, offset: int, line_number: Optional[int] = None):
@@ -78,7 +79,13 @@ def parse_graph6(line: Union[str, bytes], line_number: Optional[int] = None) -> 
     Errors report the byte offset, and the line number when one is given.
     """
     if isinstance(line, str):
-        data = line.strip().encode("ascii", errors="replace")
+        try:
+            data = line.strip().encode("ascii")
+        except UnicodeEncodeError as exc:
+            char = exc.object[exc.start]
+            raise Graph6ParseError(
+                f"character {char!r} is not ASCII", exc.start, line_number
+            ) from None
     else:
         data = line.strip()
     if data.startswith(GRAPH6_HEADER.encode()):
@@ -169,19 +176,22 @@ class CorpusEntry:
 
 
 def read_graph6_file(path: Union[str, Path]) -> list[CorpusEntry]:
-    """Read a graph6 file, one graph per line; blank lines are skipped."""
+    """Read a graph6 file, one graph per line; blank lines are skipped.
+
+    The file is read as bytes, so a byte that is not ASCII is a parse
+    error at its offset, whatever the locale's encoding.
+    """
     entries = []
-    text = Path(path).read_text()
-    for line_number, raw in enumerate(text.splitlines(), start=1):
+    for line_number, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         try:
             graph = parse_graph6(line, line_number=line_number)
         except Graph6ParseError as exc:
-            exc.line = line
+            exc.line = line.decode("ascii", errors="backslashreplace")
             raise
-        entries.append(CorpusEntry(line_number=line_number, graph6=line, graph=graph))
+        entries.append(CorpusEntry(line_number, line.decode("ascii"), graph))
     return entries
 
 
@@ -302,21 +312,7 @@ def make_named(name: str) -> CubicGraph:
 # ----------------------------------------------------------------------
 # record serialization
 
-CSV_COLUMNS = (
-    "graph_index",
-    "order",
-    "is_snark",
-    "girth",
-    "cyclic_edge_connectivity",
-    "is_critical",
-    "is_bicritical",
-    "is_strictly_critical",
-    "is_4_edge_critical",
-    "is_4_vertex_critical",
-    "is_strong",
-    "coloring_path_micros",
-    "flow_path_micros",
-)
+CSV_COLUMNS = tuple(f.name for f in fields(ClassificationRecord))
 
 
 def _cell(value) -> str:

@@ -176,9 +176,6 @@ class CubicGraph:
                 out.add(w)
         return frozenset(out)
 
-    def adjacent(self, u: int, v: int) -> bool:
-        return bool(self.connecting_edges(u, v))
-
     def connecting_edges(self, u: int, v: int) -> tuple[int, ...]:
         """Ids of non-loop edges joining ``u`` and ``v``, in id order."""
         if u not in self.vertices or v not in self.vertices:

@@ -233,6 +233,14 @@ class TestErrors:
         assert "line 2" in err
         assert "offending line 2: IheA@GUAo\x7f\n" in err
 
+    def test_invalid_byte_reports_line_and_offset(self, tmp_path):
+        path = tmp_path / "binary.g6"
+        path.write_bytes(encode_graph6(petersen()).encode() + b"\nA\xff\n")
+        code, _, err = run_cli(command="classify", input_path=str(path))
+        assert code == EXIT_PARSE
+        assert "line 2, byte 1: byte 255 out of range" in err
+        assert "offending line 2: A\\xff\n" in err
+
     def test_parse_error_on_piped_input(self):
         # the offending line comes from the reader, not from a second read
         # of a pipe that is already drained
@@ -522,6 +530,21 @@ class TestReproduce:
 class TestEntryPoint:
     def test_main_returns_code(self):
         assert main(["--named", "k4", "--command", "classify"]) == EXIT_OK
+
+    def test_bad_jobs_is_a_usage_error(self, monkeypatch, capsys):
+        from snarkcrit import cli
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        for jobs in ("0", "-3"):
+            with pytest.raises(SystemExit) as info:
+                main(["--named", "petersen", "--jobs", jobs])
+            assert info.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage: ")
+            assert "jobs must be at least 1" in err
 
     def test_console_script(self, corpus_path):
         proc = subprocess.run(

@@ -9,6 +9,11 @@ import pytest
 
 from snarkcrit import coloring, criticality, flows
 from snarkcrit.criticality import (
+    COLORING,
+    FLOW,
+    IDENTIFICATION,
+    REMOVAL,
+    SUPPRESSION,
     DecisionTable,
     EquivalenceViolationError,
     NotASnarkError,
@@ -62,18 +67,20 @@ class TestIsSnark:
 
 class TestPairStatus:
     def test_petersen_adjacent_all_six_true(self, petersen_graph):
-        report = pair_status(petersen_graph, VertexPair(0, 1))
+        pair = VertexPair(0, 1)
+        report = pair_status(petersen_graph, pair)
         assert report.adjacent and not report.degenerate
         statements = report.statements()
         assert len(statements) == 6
         assert all(statements.values())
         assert report.consistent
-        # witnesses check out against their own graphs
-        assert report.removal_coloring.is_proper()
-        assert verify_kirchhoff(report.removal_flow.graph, report.removal_flow)
-        assert verify_kirchhoff(
-            report.identification_flow.graph, report.identification_flow
-        )
+        # the table's witnesses for the same pair check out against their own graphs
+        table = DecisionTable(petersen_graph)
+        assert table.decide(REMOVAL, pair, COLORING).is_proper()
+        removal_flow = table.decide(REMOVAL, pair, FLOW)
+        assert verify_kirchhoff(removal_flow.graph, removal_flow)
+        identification_flow = table.decide(IDENTIFICATION, pair, FLOW)
+        assert verify_kirchhoff(identification_flow.graph, identification_flow)
 
     def test_petersen_non_adjacent_three_statements(self, petersen_graph):
         report = pair_status(petersen_graph, VertexPair(0, 2))
@@ -81,8 +88,8 @@ class TestPairStatus:
         statements = report.statements()
         assert len(statements) == 3
         assert all(statements.values())
-        assert report.flow_after_edge_deletion is None
-        assert report.colorable_after_suppression is None
+        assert "flow_after_edge_deletion" not in statements
+        assert "colorable_after_suppression" not in statements
 
     def test_flower5_sample_pairs_consistent(self):
         j5 = flower_snark(5)
@@ -100,8 +107,8 @@ class TestPairStatus:
         assert report.degenerate
         assert report.consistent
         # suppression is impossible on the bridge, so that statement is absent
-        assert report.colorable_after_suppression is None
-        assert report.colorable_after_removal  # empty graph
+        assert "colorable_after_suppression" not in report.statements()
+        assert report.statements()["colorable_after_removal"]  # empty graph
 
     def test_parallel_connecting_edges_evaluated_per_edge(self, petersen_graph):
         # subdivide one Petersen edge into a doubled-edge gadget: replace
@@ -114,15 +121,15 @@ class TestPairStatus:
         )
         assert digon.is_cubic
         assert is_snark(digon)
-        report = pair_status(digon, VertexPair(10, 11))
+        table = DecisionTable(digon)
+        report = pair_status(digon, VertexPair(10, 11), table=table)
         assert report.adjacent and report.degenerate
-        assert len(report.per_edge) == 2
+        assert len(digon.connecting_edges(10, 11)) == 2
         assert report.consistent
         assert not any(report.statements().values())
         # suppressing either digon edge reconstructs the Petersen graph
-        for detail in report.per_edge:
-            assert detail.suppressible
-            assert detail.colorable_after_suppression is False
+        for eid in digon.connecting_edges(10, 11):
+            assert table.verdict(SUPPRESSION, eid, COLORING) is False
 
     def test_digon_snark_full_local_scan(self, petersen_graph):
         digon = build_graph(
@@ -339,6 +346,20 @@ class TestDecisionTable:
         assert len(calls) == 2 * len(petersen_graph.edges)
         assert not any(c[1].has_dangling for c in calls)
         assert len(table.verdicts) == 45
+
+    def test_pair_status_reads_what_the_classifiers_decided(
+        self, petersen_graph, monkeypatch
+    ):
+        table = DecisionTable(petersen_graph)
+        assert is_bicritical(petersen_graph, table=table)
+        assert is_4_vertex_critical(petersen_graph, table=table)
+        calls = self._record_solver_calls(monkeypatch)
+        report = pair_status(petersen_graph, VertexPair(0, 2), table=table)
+        assert report.consistent and len(report.statements()) == 3
+        # only the removal flow is new; the removal coloring and the
+        # identification flow are read from the table
+        assert len(calls) == 1
+        assert calls[0][0] == "flow" and calls[0][1].has_dangling
 
     def test_table_of_another_graph_is_refused(self, petersen_graph):
         with pytest.raises(ValueError):

@@ -59,6 +59,13 @@ class TestParseGraph6:
         with pytest.raises(Graph6ParseError):
             parse_graph6(line + "??")
 
+    def test_non_ascii_character_rejected(self):
+        # not read as "?" (the graph6 value 0), which would give an edgeless graph
+        for line in ("A\u00e9", "A\udcff"):
+            with pytest.raises(Graph6ParseError) as exc:
+                parse_graph6(line)
+            assert exc.value.offset == 1
+
     def test_nonzero_padding_rejected(self):
         # order 3, no edges: body byte must be exactly 63 ('?')
         with pytest.raises(Graph6ParseError):
@@ -135,6 +142,14 @@ class TestCorpusFile:
         with pytest.raises(Graph6ParseError) as exc:
             read_graph6_file(bad)
         assert exc.value.line_number == 2
+
+    def test_byte_outside_utf8_is_a_parse_error(self, tmp_path):
+        bad = tmp_path / "bad.g6"
+        bad.write_bytes(b"A\xff\n")
+        with pytest.raises(Graph6ParseError) as exc:
+            read_graph6_file(bad)
+        assert (exc.value.line_number, exc.value.offset) == (1, 1)
+        assert exc.value.line == "A\\xff"
 
 
 class TestNamedGraphs:
