@@ -9,16 +9,18 @@ its attached vertex.
 
 A call makes one pass over the graph's edges, which yields the reference
 orientation, the values of loops and free edges and each vertex's
-incidence list, and then searches.  The search works per component over a
-DFS spanning tree: values on cotree edges and dangling edges are the free
-variables, and tree-edge values are forced bottom-up by the conservation
-law at their deeper endpoint.  Vertices are scheduled in reversed DFS
-preorder, which keeps each subtree contiguous just before its root, so
-when a forced value fails the search backtracks into the decisions made
-inside that subtree, the ones that fixed it.  A forced identity value
-prunes the branch, so bridges of dangling-free graphs fail immediately.
-Group arithmetic is table-driven, which keeps the solver generic over the
-two groups.  Each component is found by the DFS that builds its tree.
+incidence list, and then searches each component in closing order, as
+DSATUR does for vertex colouring (Brelaz, CACM 1979).  A vertex with one
+undecided edge left has that edge forced at once by the conservation law;
+a vertex closed from the far end of an edge has its balance checked right
+there; otherwise the next decided edge is at the reached vertex with the
+fewest undecided edges, so a merged vertex of high degree waits until its
+neighbours have constrained it.  Which edges are decided never depends on
+their values, so the order is fixed before the search, and a failed forced
+value or check backtracks into the decisions just before it.  A forced
+identity value prunes the branch.  Group arithmetic is table-driven,
+which keeps the solver generic over the two groups.  Each component is
+found by the walk that orders it.
 
 A hint, such as the flow on a sibling derived graph (surgery keeps edge
 ids), puts each decided edge's hinted value first among its tries.  The
@@ -183,21 +185,20 @@ def nowhere_zero_flow(
     """
     # one pass over the edges: the reference orientation, the values of
     # loops and free edges, and each vertex's other incidences as (other
-    # end, edge)
+    # end, edge id, whether the vertex is the edge's tail)
     incident: dict[int, list] = {v: [] for v in graph.vertices}
     orientation: dict[int, Endpoint] = {}
     values: dict[int, int] = {}
     first = group.nonzero()[0]
-    for e in graph.edges:
-        eid, a, b = e
+    for eid, a, b in graph.edges:
         orientation[eid] = b
         if a == b:  # a loop, or a free edge: no vertex constrains it
             values[eid] = first
             continue
         if a is not DANGLING:
-            incident[a].append((b, e))
+            incident[a].append((b, eid, True))
         if b is not DANGLING:
-            incident[b].append((a, e))
+            incident[b].append((a, eid, False))
 
     global search_steps
     # each vertex not yet reached roots a component: its smallest vertex
@@ -247,62 +248,82 @@ def _flow_component(
     hint: Optional[Mapping[int, int]],
 ) -> tuple[Optional[dict[int, int]], int]:
     """Values on one component's decided and forced edges, or None; and the loop's iterations."""
-    # spanning tree by DFS over real non-loop edges from root; vertices are
-    # numbered in preorder, parent[i] is the tree edge into vertex i and
-    # at[i] lists the incidences of vertex i
-    local: dict[int, int] = {}
-    parent: list = []
-    at: list = []
-    stack = [(root, None)]
-    while stack:
-        v, pe = stack.pop()
-        if v in local:
-            continue
-        local[v] = len(parent)
-        parent.append(pe)
-        inc = incident[v]
-        at.append(inc)
-        for w, e in reversed(inc):
-            if w is not DANGLING and w not in local:
-                stack.append((w, e))
-    seen.update(local)
-
-    # schedule, one step per entry of the five lists: vertices in reversed
-    # preorder; decide the cotree and dangling edges first seen at each
-    # vertex, then force its tree edge, finally check balance at the root.
-    # An edge to a vertex of higher preorder was seen there first.  The
-    # detached side of a dangling edge points at a sink slot that no step
-    # reads.
+    # schedule in closing order, one step per entry of the five lists.
+    # Vertices get slots as they are reached from root, and left[i] counts
+    # the undecided incidences of slot i.  A vertex with one left has that
+    # edge forced at once; a vertex closed from the far end of an edge gets
+    # a balance check right after it; otherwise the next decision is an
+    # edge at the open vertex with the fewest left, the earliest reached
+    # on ties.  Which edges are decided never depends on their values, so
+    # the order is fixed before the search.  The detached side of a
+    # dangling edge, and both sides of a check, point at the sink slot -1,
+    # which no step reads.
     order = group.order
-    sink = len(parent)
+    local = {root: 0}
+    reached = [root]
+    left = [len(incident[root])]
+    ready = [0] if left[0] == 1 else []  # slots with one incidence left
+    low = 0  # the earliest reached slot that may still be open
+    decided: set[int] = set()
     kind: list[int] = []
     edge: list[int] = []
     vertex: list[int] = []
     head: list[int] = []
     tail: list[int] = []
-    for vi in range(sink - 1, -1, -1):
-        pe = parent[vi]
-        for w, e in at[vi]:
-            if e is pe or (w is not DANGLING and local[w] > vi):
-                continue
-            h = hint.get(e.id, 0) if hint else 0
+    while True:
+        if ready:
+            i = ready.pop()
+            if left[i] != 1:
+                continue  # closed from the far end meanwhile
+        else:
+            while low < len(left) and not left[low]:
+                low += 1
+            if low == len(left):
+                break
+            # no open slot has fewer than 2 left now
+            i = low
+            for j in range(low + 1, len(left)):
+                if left[i] == 2:
+                    break
+                if 0 < left[j] < left[i]:
+                    i = j
+        v = reached[i]
+        for w, eid, out in incident[v]:
+            if eid not in decided:
+                break
+        decided.add(eid)
+        left[i] -= 1
+        if w is DANGLING:
+            j = -1
+        else:
+            j = local.get(w)
+            if j is None:
+                j = local[w] = len(reached)
+                reached.append(w)
+                left.append(len(incident[w]))
+            left[j] -= 1
+        if left[i]:
+            h = hint.get(eid, 0) if hint else 0
             kind.append(h if 0 < h < order else 0)
-            edge.append(e.id)
             vertex.append(-1)
-            head.append(local.get(e.b, sink))
-            tail.append(local.get(e.a, sink))
-        if pe is None:
-            kind.append(_CHECK)
-            edge.append(-1)
-            vertex.append(vi)
-            head.append(sink)
-            tail.append(sink)
+            if left[i] == 1:
+                ready.append(i)
         else:
             kind.append(_FORCE)
-            edge.append(pe.id)
-            vertex.append(vi)
-            head.append(local[pe.b])
-            tail.append(local[pe.a])
+            vertex.append(i)
+        edge.append(eid)
+        head.append(j if out else i)
+        tail.append(i if out else j)
+        if j >= 0:
+            if left[j] == 1:
+                ready.append(j)
+            elif not left[j]:
+                kind.append(_CHECK)
+                edge.append(-1)
+                vertex.append(j)
+                head.append(-1)
+                tail.append(-1)
+    seen.update(reached)
 
     # the first decided edge tries one value only (FlowGroup.tries)
     first = next((p for p, k in enumerate(kind) if k >= 0), None)
@@ -310,15 +331,15 @@ def _flow_component(
         kind[first] += order
 
     # backtracking search; val[p] is the value step p last applied (0 before
-    # its first try), so a decision resumes after it in its try order and a
-    # forced value that has been tried has no alternative.  Each iteration
+    # its first try), so a decision resumes after it in its try order, and
+    # a forced value or a passed check has no alternative.  Each iteration
     # advances or backtracks one step, so counting the backtracks gives the
     # iterations from the net advance.
     add_t = group.add_table
     neg_t = group.neg_table
     tries = group.tries
     n = len(kind)
-    sums = [0] * (sink + 1)
+    sums = [0] * (len(reached) + 1)
     val = [0] * n
     back = 0
     pos = 0
@@ -335,8 +356,9 @@ def _flow_component(
             vi = vertex[pos]
             x = neg_t[sums[vi]] if head[pos] == vi else sums[vi]
             ok = x != 0
-        else:  # _CHECK: nothing to apply, the sink absorbs x == 0
+        else:  # _CHECK: passes once, with a value that only the sink sees
             ok = sums[vertex[pos]] == 0
+            x = 1
         if ok:
             val[pos] = x
             h = head[pos]

@@ -46,14 +46,16 @@ def structure_profile(graph: CubicGraph) -> StructureProfile:
     """Collect the diagnostics; cyclic connectivity only where it is defined.
 
     For non-cubic or disconnected input the cyclic-connectivity slot is None
-    (the dedicated function refuses such graphs loudly instead).
+    (the dedicated function refuses such graphs loudly instead).  The
+    cycle-space labels are built once, for the cuts and the bridges.
     """
+    labels = _cycle_labels(graph)
     cec: Optional[int] = None
     if graph.is_cubic and graph.is_connected and not graph.has_dangling:
-        cec = cyclic_edge_connectivity(graph)
+        cec = cyclic_edge_connectivity(graph, labels=labels)
     return StructureProfile(
         connected=graph.is_connected,
-        bridge_count=len(find_bridges(graph)),
+        bridge_count=len(find_bridges(graph, labels=labels)),
         girth=girth(graph),
         cyclic_edge_connectivity=cec,
     )
@@ -62,49 +64,62 @@ def structure_profile(graph: CubicGraph) -> StructureProfile:
 def girth(graph: CubicGraph) -> Union[int, float]:
     """Length of a shortest cycle: a loop is 1, a parallel pair 2, forests inf.
 
-    A BFS from every vertex.  Any edge at x other than the one that reached
-    x, leading to a reached vertex y, closes a walk of length
-    dist(x) + dist(y) + 1 that holds a cycle, and from a root on a shortest
-    cycle some such edge gives exactly its length.  A loop (y = x) and the
+    A BFS from every vertex, over (neighbour, edge id) lists built once.
+    Any edge at x other than the one that reached x, leading to a reached
+    vertex y, closes a walk of length dist(x) + dist(y) + 1 that holds a
+    cycle, and from a root on a shortest cycle some such edge gives exactly
+    its length.  A loop (y = x) and the
     second edge of a parallel pair are such edges, so they need no rule of
     their own.
     """
+    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in graph.vertices}
+    for eid, a, b in graph.edges:
+        if a is DANGLING or b is DANGLING:
+            continue
+        adj[a].append((b, eid))
+        if b != a:
+            adj[b].append((a, eid))
     best = math.inf
-    for root in graph.vertices:
+    for root in adj:
         dist = {root: 0}
-        via = {root: None}  # vertex -> the edge that reached it
+        via = {root: None}  # vertex -> the id of the edge that reached it
         queue = [root]
         for x in queue:  # ``queue`` grows while it is walked
             if dist[x] * 2 >= best:
                 break
-            for e in graph.incident_edges(x):
-                if e is via[x]:
-                    continue
-                y = e.other_endpoint(x)
-                if y is DANGLING:
+            for y, eid in adj[x]:
+                if eid == via[x]:
                     continue
                 if y not in dist:
                     dist[y] = dist[x] + 1
-                    via[y] = e
+                    via[y] = eid
                     queue.append(y)
                 else:
                     best = min(best, dist[x] + dist[y] + 1)
     return best
 
 
-def find_bridges(graph: CubicGraph) -> tuple[int, ...]:
+def find_bridges(
+    graph: CubicGraph, *, labels: Optional[dict[int, int]] = None
+) -> tuple[int, ...]:
     """Ids of all cut-edges: the edges whose label over the BFS forest is zero.
 
     Loops, dangling edges and free edges get no label and never qualify.
+    ``labels`` is ``_cycle_labels(graph)`` when the caller has it already.
     """
-    return tuple(sorted(eid for eid, label in _cycle_labels(graph).items() if not label))
+    if labels is None:
+        labels = _cycle_labels(graph)
+    return tuple(sorted(eid for eid, label in labels.items() if not label))
 
 
-def cyclic_edge_connectivity(graph: CubicGraph) -> Optional[int]:
+def cyclic_edge_connectivity(
+    graph: CubicGraph, *, labels: Optional[dict[int, int]] = None
+) -> Optional[int]:
     """Minimum cyclic edge cut size for a connected cubic graph, or None.
 
     None means no two vertex-disjoint cycles exist, so no cut can separate
-    two cycle-containing parts.  Non-cubic input is refused.
+    two cycle-containing parts.  Non-cubic input is refused.  ``labels`` is
+    ``_cycle_labels(graph)`` when the caller has it already.
 
     The cuts of size 1, 2 and 3 are read off cycle-space labels, a 4-cycle
     settles 4, and only the rest is searched for:
@@ -145,14 +160,16 @@ def cyclic_edge_connectivity(graph: CubicGraph) -> Optional[int]:
     if not graph.is_connected:
         raise GraphError("cyclic edge-connectivity needs a connected graph")
 
-    labels: dict[int, Edge] = {}  # label -> edge; equal labels keep the first edge
-    for eid, label in _cycle_labels(graph).items():
-        labels.setdefault(label, graph.edge(eid))
-    if 0 in labels:  # also with any loop, as the other edge at its vertex is a bridge
+    if labels is None:
+        labels = _cycle_labels(graph)
+    by_label: dict[int, Edge] = {}  # equal labels keep the first edge
+    for eid, label in labels.items():
+        by_label.setdefault(label, graph.edge(eid))
+    if 0 in by_label:  # also with any loop, as the other edge at its vertex is a bridge
         return 1
-    if len(labels) < len(graph.edges):  # two edges share a label
+    if len(by_label) < len(graph.edges):  # two edges share a label
         return 2
-    if _has_cyclic_3_cut(labels):
+    if _has_cyclic_3_cut(by_label):
         return 3
     if graph.order >= 8 and _has_4_cycle(graph):
         return 4

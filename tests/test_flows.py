@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from snarkcrit import flows
 from snarkcrit.coloring import three_edge_colorable
 from snarkcrit.flows import (
     GROUPS,
@@ -13,6 +15,7 @@ from snarkcrit.flows import (
     nowhere_zero_flow,
     verify_kirchhoff,
 )
+from snarkcrit.graph_io import flower_snark
 from snarkcrit.multigraph import (
     DANGLING,
     GraphError,
@@ -69,6 +72,14 @@ class TestDecisions:
         g = build_graph(0, [(DANGLING, DANGLING)])
         f = nowhere_zero_flow(g, Z4)
         assert f is not None and f.values[0] == 1
+
+    def test_backtracking_through_a_passed_check(self):
+        # vertex 2's forced edge closes vertex 0, whose balance check passes
+        # mid-schedule; the pendant edges at 1 then fail, and the search must
+        # backtrack through that check instead of passing it again
+        g = build_graph(5, [(0, 1), (0, 1), (0, 2), (0, 2), (1, 3), (1, 4)])
+        assert nowhere_zero_flow(g, Z4) is None
+        assert nowhere_zero_flow(g, KLEIN) is None
 
     def test_removal_graph_with_danglings(self, petersen_graph):
         cut = remove_vertex_pair(petersen_graph, VertexPair(3, 8))
@@ -147,6 +158,14 @@ class TestProperties:
                         acc = group.add(acc, f.values[e.id])
                 assert acc == 0
 
+    def test_flower_refutation_search_steps(self):
+        # the closing order refutes J9 in Z4 in 79,541 steps, the earlier
+        # DFS-tree order in 340,261; the bound catches a lost order
+        # without timing anything
+        before = flows.search_steps
+        assert nowhere_zero_flow(flower_snark(9), Z4) is None
+        assert flows.search_steps - before < 170_000
+
     def test_coloring_flow_agreement_on_cubic(self):
         for g in random_cubic_graphs(25, (4, 6, 8, 10), seed=11):
             colorable = three_edge_colorable(g) is not None
@@ -169,6 +188,21 @@ def test_solver_agrees_with_enumeration(g):
     assert (nowhere_zero_flow(g, KLEIN) is not None) == flow_exists_by_enumeration(
         g, "Z2xZ2"
     )
+
+
+# ids 0-11 cover edges that get no hint and ids that are not in the graph
+@given(
+    multigraphs(max_vertices=6, max_edges=8, degree_cap=6),
+    st.dictionaries(st.integers(0, 11), st.integers(0, 3)),
+)
+@settings(max_examples=80, deadline=None)
+def test_hinted_solver_agrees_with_enumeration(g, hint):
+    for group in (Z4, KLEIN):
+        f = nowhere_zero_flow(g, group, hint=hint)
+        assert (f is not None) == flow_exists_by_enumeration(g, group.name)
+        if f is not None:
+            assert f.is_nowhere_zero()
+            assert verify_kirchhoff(g, f)
 
 
 @given(multigraphs(max_vertices=7, max_edges=10, degree_cap=6))
