@@ -36,7 +36,6 @@ from .criticality import (
     verify_local_equivalence,
 )
 from .flows import (
-    GROUPS,
     KLEIN,
     Z4,
     FlowAssignment,

@@ -2,14 +2,17 @@
 
 Each graph goes through :func:`evaluate`, which returns a :class:`Result`:
 the classification record for ``classify`` and ``stats``, the finished
-report line for the ``verify-*`` commands.  :func:`_work` parses a graph6
-line and evaluates it, alone or in a process pool; a ``--named`` graph is
-built once and evaluated directly, so multigraph constructors work too.
-Results are consumed in input order, so reports do not depend on
-``--jobs`` (the per-path timing columns aside, which ``--zero-timings``
-blanks), and ``--fail-fast`` stops the work at the first violating graph.
+report line for the ``verify-*`` commands.  A disagreement that the library
+raises as :class:`EquivalenceViolationError` becomes a violating result
+that keeps its message, so one graph never stops the others.
+:func:`_work` parses a graph6 line and evaluates it, alone or in a process
+pool; a ``--named`` graph is built once and evaluated directly, so
+multigraph constructors work too.  :func:`_report` consumes the results of
+every command in input order, so reports do not depend on ``--jobs`` (the
+per-path timing columns aside, which ``--zero-timings`` blanks), and
+``--fail-fast`` stops the work at the first violating graph.
 
-``evaluate``, ``_work`` and ``run`` must look up ``parse_graph6``,
+``evaluate``, ``_work`` and ``_report`` must look up ``parse_graph6``,
 ``classify``, ``snark_status``, ``verify_local_equivalence`` and
 ``write_records`` as globals of this module: the benchmark's tracer wraps
 them here.
@@ -94,6 +97,8 @@ class Result:
     line: Optional[str] = None  # verify-*: the finished report line
     violation: bool = False
     pairs: int = 0  # verify-local: vertex pairs checked
+    error: Optional[str] = None  # the message of a raised violation
+    graph6: Optional[str] = None  # the input line, for an --input graph
 
 
 def _bool(x) -> str:
@@ -101,7 +106,18 @@ def _bool(x) -> str:
 
 
 def evaluate(command: str, index: int, graph: CubicGraph) -> Result:
-    """Run ``command`` on one graph; ``index`` is its input line number."""
+    """Run ``command`` on one graph; ``index`` is its input line number.
+
+    A violation that the library raises becomes a violating result with
+    its message and no record or report line.
+    """
+    try:
+        return _evaluate(command, index, graph)
+    except EquivalenceViolationError as exc:
+        return Result(index, violation=True, error=str(exc))
+
+
+def _evaluate(command: str, index: int, graph: CubicGraph) -> Result:
     if command in ("classify", "stats"):
         return Result(index, record=classify(graph, graph_index=index))
     head = f"graph {index} (order {graph.order}): "
@@ -155,23 +171,17 @@ def evaluate(command: str, index: int, graph: CubicGraph) -> Result:
 def _work(command: str, item: tuple[int, str]) -> Result:
     """Parse one graph6 line and evaluate it (top level so a pool can pickle it)."""
     index, line = item
-    try:
-        return evaluate(command, index, parse_graph6(line, line_number=index))
-    except EquivalenceViolationError as exc:
-        # a single string argument, so the error still pickles across the pool;
-        # instance attributes pickle with it
-        error = EquivalenceViolationError(f"graph {index} ({line}): {exc}")
-        error.graph6 = line
-        raise error from exc
+    result = evaluate(command, index, parse_graph6(line, line_number=index))
+    return replace(result, graph6=line)
 
 
 # ----------------------------------------------------------------------
 # driver
 
 
-def _results(config: RunConfig) -> tuple[Iterator[Result], int, dict[int, str]]:
-    """The lazy per-graph results in input order, how many graphs exceed
-    ``max_order``, and the graph6 line of each kept input line number.
+def _results(config: RunConfig) -> tuple[Iterator[Result], int]:
+    """The lazy per-graph results in input order, and how many graphs
+    exceed ``max_order``.
 
     Graphs over the order limit are dropped here, before any is evaluated.
     """
@@ -182,10 +192,10 @@ def _results(config: RunConfig) -> tuple[Iterator[Result], int, dict[int, str]]:
     if config.named is not None:
         graph = make_named(config.named)
         kept = [graph] if fits(graph.order) else []
-        return (evaluate(config.command, 1, g) for g in kept), 1 - len(kept), {}
+        return (evaluate(config.command, 1, g) for g in kept), 1 - len(kept)
     entries = read_graph6_file(config.input_path)
     items = [(e.line_number, e.graph6) for e in entries if fits(e.graph.order)]
-    return _run_pool(config, items), len(entries) - len(items), dict(items)
+    return _run_pool(config, items), len(entries) - len(items)
 
 
 def _run_pool(config: RunConfig, items: list[tuple[int, str]]) -> Iterator[Result]:
@@ -244,14 +254,11 @@ def _reproduce(config: RunConfig, graph6: Optional[str]) -> str:
 
 
 def run(config: RunConfig, out=None, err=None) -> int:
-    """Execute one command; returns the process exit code.
-
-    Each violating graph also gets a reproducing command on ``err``.
-    """
+    """Execute one command; returns the process exit code."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
-        results, skipped, lines = _results(config)
+        results, skipped = _results(config)
     except (OSError, GraphError) as exc:
         print(f"error: cannot read input: {exc}", file=err)
         return EXIT_UNREADABLE
@@ -260,37 +267,57 @@ def run(config: RunConfig, out=None, err=None) -> int:
         if exc.line is not None:
             print(f"offending line {exc.line_number}: {exc.line}", file=err)
         return EXIT_PARSE
+    with closing(results):
+        return _report(results, skipped, config, out, err)
 
-    if config.command in ("classify", "stats"):
-        try:
-            records = [r.record for r in results]
-        except EquivalenceViolationError as exc:
-            # _work puts the graph6 line on the error; a named graph needs none
-            print(_reproduce(config, getattr(exc, "graph6", None)), file=err)
-            raise
+
+def _report(
+    results: Iterable[Result], skipped: int, config: RunConfig, out, err=None
+) -> int:
+    """Write the report of any command; returns the exit code.
+
+    Each violating graph gets a reproducing command on ``err``, and a
+    raised violation also its message there, naming the graph.
+    """
+    err = err if err is not None else sys.stderr
+    records = []
+    checked = violations = pair_total = 0
+    for r in results:
+        checked += 1
+        if r.error is not None:
+            where = f"graph {r.index} ({r.graph6 or config.named})"
+            print(f"error: equivalence violation: {where}: {r.error}", file=err)
+        if r.violation:
+            violations += 1
+            print(_reproduce(config, r.graph6), file=err)
+        if r.record is not None:
+            records.append(r.record)
+        if r.line is not None:
+            out.write(r.line + "\n")
+        pair_total += r.pairs
+        if r.violation and config.fail_fast:
+            break
+    if config.command == "classify":
         if config.zero_timings:
             records = [
                 replace(rec, coloring_path_micros=None, flow_path_micros=None)
-                if rec.coloring_path_micros is not None
-                else rec
                 for rec in records
             ]
-        if config.command == "classify":
-            out.write(write_records(records, config.format).decode("utf-8"))
-            return EXIT_OK
-        return _print_stats(records, skipped, config, out)
+        out.write(write_records(records, config.format).decode("utf-8"))
+    elif config.command == "stats":
+        _print_stats(records, skipped, config, out)
+    else:
+        summary = f"checked {checked} graph(s)"
+        if config.command == "verify-local":
+            summary += f", {pair_total} pair(s)"
+        if skipped:
+            summary += f", skipped {skipped} over max order"
+        summary += f", {violations} violation(s)"
+        out.write(summary + "\n")
+    return EXIT_VIOLATION if violations else EXIT_OK
 
-    def reported(results: Iterable[Result]) -> Iterator[Result]:
-        for r in results:
-            if r.violation:
-                print(_reproduce(config, lines.get(r.index)), file=err)
-            yield r
 
-    with closing(results):
-        return _print_certificates(reported(results), skipped, config, out)
-
-
-def _print_stats(records, skipped: int, config: RunConfig, out) -> int:
+def _print_stats(records, skipped: int, config: RunConfig, out) -> None:
     counts = {
         "graphs": len(records),
         "snarks": sum(1 for r in records if r.is_snark),
@@ -307,28 +334,6 @@ def _print_stats(records, skipped: int, config: RunConfig, out) -> int:
     else:
         for key, value in counts.items():
             out.write(f"{key}: {value}\n")
-    return EXIT_OK
-
-
-def _print_certificates(
-    results: Iterable[Result], skipped: int, config: RunConfig, out
-) -> int:
-    checked = violations = pair_total = 0
-    for r in results:
-        out.write(r.line + "\n")
-        checked += 1
-        violations += r.violation
-        pair_total += r.pairs
-        if r.violation and config.fail_fast:
-            break
-    summary = f"checked {checked} graph(s)"
-    if config.command == "verify-local":
-        summary += f", {pair_total} pair(s)"
-    if skipped:
-        summary += f", skipped {skipped} over max order"
-    summary += f", {violations} violation(s)"
-    out.write(summary + "\n")
-    return EXIT_VIOLATION if violations else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,7 +343,12 @@ def build_parser() -> argparse.ArgumentParser:
         "coloring and flow routes coincide.",
     )
     source = parser.add_mutually_exclusive_group(required=True)
-    source.add_argument("--input", metavar="PATH", help="graph6 file, one graph per line")
+    source.add_argument(
+        "--input",
+        dest="input_path",
+        metavar="PATH",
+        help="graph6 file, one graph per line",
+    )
     source.add_argument(
         "--named",
         metavar="NAME",
@@ -362,23 +372,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = RunConfig(
-            command=args.command,
-            input_path=args.input,
-            named=args.named,
-            jobs=args.jobs,
-            format=args.format,
-            max_order=args.max_order,
-            fail_fast=args.fail_fast,
-            zero_timings=args.zero_timings,
-        )
+        config = RunConfig(**vars(args))
     except ValueError as exc:
         parser.error(str(exc))  # exits 2 with the usage
-    try:
-        code = run(config)
-    except EquivalenceViolationError as exc:
-        print(f"error: equivalence violation: {exc}", file=sys.stderr)
-        code = EXIT_VIOLATION
+    code = run(config)
     if argv is None:
         sys.exit(code)
     return code

@@ -124,8 +124,6 @@ KLEIN = FlowGroup(
     tuple(range(4)),  # every element is self-inverse
 )
 
-GROUPS = {g.name: g for g in (Z4, KLEIN)}
-
 #: Iterations of the search loop, summed over every call in this process.
 search_steps = 0
 

@@ -16,7 +16,7 @@ from snarkcrit.cli import (
     EXIT_VIOLATION,
     Result,
     RunConfig,
-    _print_certificates,
+    _report,
     main,
     run,
 )
@@ -263,7 +263,7 @@ class TestErrors:
                    violation=True, pairs=45),
         ]
         config = RunConfig(command="verify-local", named="petersen")
-        assert _print_certificates(fake, 0, config, out) == EXIT_VIOLATION
+        assert _report(fake, 0, config, out) == EXIT_VIOLATION
         assert "INCONSISTENT" in out.getvalue()
         assert "1 violation(s)" in out.getvalue()
 
@@ -275,7 +275,7 @@ class TestErrors:
             Result(2, line="graph 2 (order 10): 45 pairs consistent", pairs=45),
         ]
         config = RunConfig(command="verify-local", named="petersen", fail_fast=True)
-        assert _print_certificates(fake, 0, config, out) == EXIT_VIOLATION
+        assert _report(fake, 0, config, out) == EXIT_VIOLATION
         assert "graph 2" not in out.getvalue()
         assert "checked 1 graph(s), 45 pair(s)" in out.getvalue()
 
@@ -525,6 +525,100 @@ class TestReproduce:
         assert _reproduce(config, None) == (
             "reproduce: snarkcrit --named 'flower(7)' --command verify-strong"
         )
+
+
+class TestRaisedViolations:
+    """A violation the library raises for one graph leaves the others reported."""
+
+    @pytest.fixture
+    def three(self, tmp_path):
+        lines = [encode_graph6(g) for g in (blanusa(1), petersen(), blanusa(2))]
+        path = tmp_path / "three.g6"
+        path.write_text("\n".join(lines) + "\n")
+        return str(path), lines
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize(
+        "command", ["verify-local", "verify-coincidence", "verify-strong"]
+    )
+    def test_verify_reports_the_other_graphs(
+        self, command, jobs, three, monkeypatch, capsys
+    ):
+        from snarkcrit import criticality
+
+        real = criticality.nowhere_zero_flow
+
+        def flow_on_petersen(graph, group, *args, **kwargs):
+            # the routes of snark_status disagree on the order-10 input only
+            return {} if graph.order == 10 else real(graph, group, *args, **kwargs)
+
+        monkeypatch.setattr(criticality, "nowhere_zero_flow", flow_on_petersen)
+        path, lines = three
+        args = ["--input", path, "--command", command, "--jobs", jobs]
+        assert main(args) == EXIT_VIOLATION
+        out, err = capsys.readouterr()
+        reproduce = [row for row in err.splitlines() if row.startswith("reproduce:")]
+        assert len(reproduce) == 1 and f"'{lines[1]}'" in reproduce[0]
+        disagree = "3-edge-colorable=False but Z4 flow present=True"
+        assert f"graph 2 ({lines[1]}): {disagree}" in err
+        report = out.splitlines()
+        assert [line.split(":")[0] for line in report[:-1]] == [
+            "graph 1 (order 18)",
+            "graph 3 (order 18)",
+        ]
+        assert re.fullmatch(r"checked 3 graph\(s\)(, .*)?, 1 violation\(s\)", report[-1])
+
+    @pytest.fixture
+    def failing_classify(self, monkeypatch):
+        from snarkcrit import cli
+
+        real = cli.classify
+        evaluated = []
+
+        def failing(graph, graph_index=0):
+            evaluated.append(graph_index)
+            if graph_index == 2:
+                raise EquivalenceViolationError("routes disagree")
+            return real(graph, graph_index=graph_index)
+
+        monkeypatch.setattr(cli, "classify", failing)
+        return evaluated
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_classify_writes_the_other_rows(self, fmt, three, failing_classify, capsys):
+        import json
+
+        path, lines = three
+        assert main(["--input", path, "--format", fmt]) == EXIT_VIOLATION
+        out, err = capsys.readouterr()
+        assert f"graph 2 ({lines[1]}): routes disagree" in err
+        assert err.count("reproduce:") == 1
+        if fmt == "csv":
+            indices = [row.split(",")[0] for row in out.splitlines()[1:]]
+        else:
+            indices = [str(json.loads(row)["graph_index"]) for row in out.splitlines()]
+        assert indices == ["1", "3"]
+
+    def test_stats_counts_the_other_graphs(self, three, failing_classify, capsys):
+        path, lines = three
+        assert main(["--input", path, "--command", "stats"]) == EXIT_VIOLATION
+        out, err = capsys.readouterr()
+        assert f"graph 2 ({lines[1]}): routes disagree" in err
+        assert "graphs: 2\n" in out and "snarks: 2\n" in out
+
+    @pytest.mark.parametrize("command", ["classify", "stats"])
+    def test_fail_fast_stops_before_graph_3(
+        self, command, three, failing_classify, capsys
+    ):
+        path, _ = three
+        args = ["--input", path, "--command", command, "--fail-fast", "--jobs", "1"]
+        assert main(args) == EXIT_VIOLATION
+        assert failing_classify == [1, 2]
+        out = capsys.readouterr().out
+        if command == "classify":
+            assert [row.split(",")[0] for row in out.splitlines()[1:]] == ["1"]
+        else:
+            assert "graphs: 1\n" in out
 
 
 class TestEntryPoint:

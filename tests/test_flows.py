@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from snarkcrit import flows
 from snarkcrit.coloring import three_edge_colorable
 from snarkcrit.flows import (
-    GROUPS,
     KLEIN,
     Z4,
     FlowAssignment,
@@ -38,10 +37,6 @@ class TestGroups:
         assert KLEIN.add(1, 2) == 3
         assert KLEIN.neg(2) == 2
         assert all(KLEIN.add(x, x) == 0 for x in range(4))
-
-    def test_lookup(self):
-        assert GROUPS["Z4"] is Z4
-        assert GROUPS["Z2xZ2"] is KLEIN
 
 
 class TestDecisions:
