@@ -7,12 +7,7 @@ independent decision routes, and verifies on concrete graphs that the
 routes coincide.
 """
 
-from .coloring import (
-    EdgeColoring,
-    KleinColor,
-    chromatic_index_is_4,
-    three_edge_colorable,
-)
+from .coloring import EdgeColoring, KleinColor, three_edge_colorable
 from .criticality import (
     ClassificationRecord,
     CoincidenceCertificate,

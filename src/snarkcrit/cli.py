@@ -60,9 +60,6 @@ EXIT_UNREADABLE = 2
 EXIT_PARSE = 3
 EXIT_VIOLATION = 4
 
-# finished chunks a pool holds back per worker while an earlier one runs
-_HELD_PER_JOB = 4
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -156,6 +153,7 @@ def _evaluate(command: str, index: int, graph: CubicGraph) -> Result:
             f"coloring_micros={cert.coloring_path_micros} "
             f"flow_micros={cert.flow_path_micros}"
         )
+        suffix = "" if agree else " DISAGREE"
     else:  # verify-strong
         cert = strong_certificate(graph, table=table)
         agree = cert.routes_agree
@@ -164,7 +162,7 @@ def _evaluate(command: str, index: int, graph: CubicGraph) -> Result:
             f"edges={len(cert.per_edge)} "
             f"non_suppressible={len(cert.non_suppressible_edges)}"
         )
-    suffix = "" if agree else " DISAGREE"
+        suffix = "" if agree else " DISAGREE " + "; ".join(cert.disagreements())
     return Result(index, line=head + body + suffix, violation=not agree)
 
 
@@ -206,8 +204,7 @@ def _run_pool(config: RunConfig, items: list[tuple[int, str]]) -> Iterator[Resul
     cancel.  Only unfinished chunks count: when all but ``jobs`` of them
     have finished, the window is filled up again, even while a slow chunk
     at its head holds back the output, so the other workers keep busy.
-    Finished chunks wait for their turn in input order; at most
-    ``_HELD_PER_JOB * jobs`` of them are held.
+    Finished chunks wait for their turn in input order.
     """
     if config.jobs == 1:
         yield from map(partial(_work, config.command), items)
@@ -227,8 +224,7 @@ def _run_pool(config: RunConfig, items: list[tuple[int, str]]) -> Iterator[Resul
                 yield from window.popleft().result()
             # counted after the yields: more chunks may finish while the consumer runs
             running = [f for f in window if not f.done()]
-            held = len(window) - len(running)
-            if len(running) <= jobs and held < _HELD_PER_JOB * jobs:
+            if len(running) <= jobs:
                 for chunk in islice(chunks, 2 * jobs - len(running)):
                     future = pool.submit(_work_chunk, config.command, chunk)
                     window.append(future)

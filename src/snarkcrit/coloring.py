@@ -124,13 +124,6 @@ def three_edge_colorable(
     return EdgeColoring(graph, assignment)
 
 
-def chromatic_index_is_4(
-    graph: CubicGraph, *, hint: Optional[Mapping[int, int]] = None
-) -> bool:
-    """True iff the graph has no proper 3-edge-coloring."""
-    return three_edge_colorable(graph, hint=hint) is None
-
-
 # ----------------------------------------------------------------------
 # solver internals
 

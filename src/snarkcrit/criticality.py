@@ -31,9 +31,15 @@ again.  The table also hands each solver call the last witness of the same
 surgery and solver as a hint for its value order; the solver is part of
 every key, so no result crosses from one route into the other.
 ``classify`` and the CLI's ``verify-*`` path build one table per graph and
-pass it to the classifiers, which build their own when called alone.  They
-look up the solvers and surgery operations as globals of this module, where
-the benchmark's tracer wraps them.
+pass it to the classifiers, which build their own when called alone.
+
+Only :func:`snark_status` and :meth:`DecisionTable.decide` run a solver.
+They look up the surgery operations and the flow solvers as globals of
+this module, where the benchmark's tracer wraps them.  The coloring solver
+is wrapped at two names, and the tracer requires a call at each:
+``snark_status`` calls this module's ``three_edge_colorable``, which every
+command reaches, and ``decide`` calls ``coloring.three_edge_colorable``
+through its module, which the classifiers reach on derived graphs.
 """
 
 from __future__ import annotations
@@ -44,7 +50,8 @@ from functools import cached_property
 from itertools import combinations
 from typing import Optional, Union
 
-from .coloring import EdgeColoring, chromatic_index_is_4, three_edge_colorable
+from . import coloring
+from .coloring import EdgeColoring, three_edge_colorable
 from .flows import Z4, FlowAssignment, flow_on_identification, nowhere_zero_flow
 from .multigraph import (
     DANGLING,
@@ -191,7 +198,7 @@ class DecisionTable:
             else:
                 raise ValueError(f"unknown surgery {surgery!r}")
             if solver == COLORING:
-                witness = three_edge_colorable(derived, hint=hint)
+                witness = coloring.three_edge_colorable(derived, hint=hint)
             else:
                 witness = nowhere_zero_flow(derived, Z4, hint=hint)
         self.verdicts[(surgery, where, solver)] = witness is not None
@@ -207,20 +214,6 @@ class DecisionTable:
         if key not in self.verdicts:
             self.decide(surgery, where, solver)
         return self.verdicts[key]
-
-    def uncolorable_after_removal(self, pair: VertexPair) -> bool:
-        """Chromatic index 4 after removing ``pair``, from the removal coloring verdict.
-
-        For the scans that need no witness (adjacent pairs, strength): a
-        new verdict is decided through ``chromatic_index_is_4``, which keeps
-        no witness to hint the next call with.
-        """
-        key = (REMOVAL, pair, COLORING)
-        if key not in self.verdicts:
-            hint = self._last.get((REMOVAL, COLORING))
-            removed = remove_vertex_pair(self.graph, pair)
-            self.verdicts[key] = not chromatic_index_is_4(removed, hint=hint)
-        return not self.verdicts[key]
 
 
 def _snark_table(graph: CubicGraph, table: Optional[DecisionTable]) -> DecisionTable:
@@ -316,7 +309,7 @@ def _pair_report(table: DecisionTable, pair: VertexPair) -> PairReport:
 def is_critical(graph: CubicGraph, *, table: Optional[DecisionTable] = None) -> bool:
     """Every adjacent pair's removal leaves a 3-edge-colorable graph."""
     table = _snark_table(graph, table)
-    return not any(table.uncolorable_after_removal(p) for p in table.adjacent_pairs)
+    return all(table.verdict(REMOVAL, p, COLORING) for p in table.adjacent_pairs)
 
 
 def is_bicritical(graph: CubicGraph, *, table: Optional[DecisionTable] = None) -> bool:
@@ -373,29 +366,30 @@ class EdgeStrongStatus:
 
 @dataclass(frozen=True)
 class StrongCertificate:
-    per_edge: tuple[EdgeStrongStatus, ...]
-    loop_edges_skipped: int
-
-    @property
-    def suppression_route(self) -> bool:
-        return all(s.verdict for s in self.per_edge)
-
-    @property
-    def pair_route(self) -> bool:
-        return all(s.removal_uncolorable for s in self.per_edge)
-
-    @property
-    def routes_agree(self) -> bool:
-        per_edge_ok = all(s.routes_agree is not False for s in self.per_edge)
-        return per_edge_ok and self.suppression_route == self.pair_route
+    per_edge: tuple[EdgeStrongStatus, ...]  # one per non-loop edge
 
     @property
     def is_strong(self) -> bool:
-        return self.suppression_route
+        return all(s.verdict for s in self.per_edge)
+
+    @property
+    def routes_agree(self) -> bool:
+        # where every edge agrees, each verdict equals its pair route, so the
+        # two routes' totals agree as well
+        return all(s.routes_agree is not False for s in self.per_edge)
 
     @property
     def non_suppressible_edges(self) -> tuple[int, ...]:
         return tuple(s.edge_id for s in self.per_edge if s.suppression_is_snark is None)
+
+    def disagreements(self) -> tuple[str, ...]:
+        """Each edge whose two routes disagree, with both values."""
+        return tuple(
+            f"edge {s.edge_id} suppression_is_snark={_bool(s.suppression_is_snark)} "
+            f"removal_uncolorable={_bool(s.removal_uncolorable)}"
+            for s in self.per_edge
+            if s.routes_agree is False
+        )
 
 
 def strong_certificate(
@@ -405,18 +399,16 @@ def strong_certificate(
 
     Route one suppresses each non-loop edge and asks whether the result is
     still a snark; route two removes the edge's endpoint pair and asks
-    whether the rest has chromatic index 4, a verdict the table shares with
-    the coloring route.  Loops are skipped: they can neither be suppressed
-    nor mapped to a vertex pair.
+    whether the rest has chromatic index 4, the removal coloring verdict
+    that the table shares with the coloring route.  Loops are skipped: they
+    can neither be suppressed nor mapped to a vertex pair.
     """
     table = _snark_table(graph, table)
     statuses = []
-    loops_skipped = 0
     for e in graph.edges:
         if e.is_loop:
-            loops_skipped += 1
             continue
-        removal_uncolorable = table.uncolorable_after_removal(VertexPair(e.a, e.b))
+        removal_uncolorable = not table.verdict(REMOVAL, VertexPair(e.a, e.b), COLORING)
         try:
             suppressed = suppress_edge(graph, e.id)
         except NonSuppressibleError:
@@ -424,7 +416,7 @@ def strong_certificate(
         else:
             suppressed_snark = is_snark(suppressed)
         statuses.append(EdgeStrongStatus(e.id, suppressed_snark, removal_uncolorable))
-    return StrongCertificate(per_edge=tuple(statuses), loop_edges_skipped=loops_skipped)
+    return StrongCertificate(per_edge=tuple(statuses))
 
 
 def is_strong(graph: CubicGraph, *, table: Optional[DecisionTable] = None) -> bool:
@@ -433,8 +425,7 @@ def is_strong(graph: CubicGraph, *, table: Optional[DecisionTable] = None) -> bo
     if not cert.routes_agree:
         raise EquivalenceViolationError(
             "suppression route and adjacent-pair route disagree on strength: "
-            f"strong={_bool(cert.suppression_route)} by suppression, "
-            f"strong={_bool(cert.pair_route)} by adjacent pairs"
+            + "; ".join(cert.disagreements())
         )
     return cert.is_strong
 
@@ -454,10 +445,6 @@ class LocalEquivalenceCertificate:
     @property
     def consistent(self) -> bool:
         return all(r.consistent for r in self.reports)
-
-    @property
-    def inconsistent_pairs(self) -> tuple[VertexPair, ...]:
-        return tuple(r.pair for r in self.reports if not r.consistent)
 
     @property
     def degenerate_pairs(self) -> tuple[VertexPair, ...]:
@@ -487,16 +474,11 @@ class CoincidenceCertificate:
     flow_path_micros: int
 
     @property
-    def critical_coincides(self) -> bool:
-        return self.critical == self.edge_flow_critical
-
-    @property
-    def bicritical_coincides(self) -> bool:
-        return self.bicritical == self.vertex_flow_critical
-
-    @property
     def consistent(self) -> bool:
-        return self.critical_coincides and self.bicritical_coincides
+        return (
+            self.critical == self.edge_flow_critical
+            and self.bicritical == self.vertex_flow_critical
+        )
 
     def disagreements(self) -> tuple[str, ...]:
         """Each pair of coinciding classifiers that disagrees, with both values."""
@@ -550,14 +532,15 @@ class ClassificationRecord:
     is_snark: bool
     girth: Union[int, float]
     cyclic_edge_connectivity: Optional[int]
-    is_critical: Optional[bool]
-    is_bicritical: Optional[bool]
-    is_strictly_critical: Optional[bool]
-    is_4_edge_critical: Optional[bool]
-    is_4_vertex_critical: Optional[bool]
-    is_strong: Optional[bool]
-    coloring_path_micros: Optional[int]
-    flow_path_micros: Optional[int]
+    # None for a non-snark
+    is_critical: Optional[bool] = None
+    is_bicritical: Optional[bool] = None
+    is_strictly_critical: Optional[bool] = None
+    is_4_edge_critical: Optional[bool] = None
+    is_4_vertex_critical: Optional[bool] = None
+    is_strong: Optional[bool] = None
+    coloring_path_micros: Optional[int] = None
+    flow_path_micros: Optional[int] = None
 
 
 def classify(graph: CubicGraph, graph_index: int = 0) -> ClassificationRecord:
@@ -576,14 +559,6 @@ def classify(graph: CubicGraph, graph_index: int = 0) -> ClassificationRecord:
             is_snark=False,
             girth=profile.girth,
             cyclic_edge_connectivity=profile.cyclic_edge_connectivity,
-            is_critical=None,
-            is_bicritical=None,
-            is_strictly_critical=None,
-            is_4_edge_critical=None,
-            is_4_vertex_critical=None,
-            is_strong=None,
-            coloring_path_micros=None,
-            flow_path_micros=None,
         )
     cert = verify_classifier_coincidence(graph, table=table)
     if not cert.consistent:

@@ -50,13 +50,14 @@ class Graph6EncodeError(ValueError):
 # graph6 parsing and encoding
 
 
-def _decode_order(data: bytes, line_number: Optional[int]) -> tuple[int, int]:
-    """Return (order, header length in bytes)."""
-    if not data:
-        raise Graph6ParseError("empty input", 0, line_number)
-    c0 = data[0]
+def _decode_order(data: bytes, pos: int, line_number: Optional[int]) -> tuple[int, int]:
+    """Return (order, offset of the bit vector) for the order field at ``pos``."""
+    if len(data) <= pos:
+        raise Graph6ParseError("empty input", pos, line_number)
+    c0 = data[pos]
     if c0 == 126:
-        start, width = (2, 6) if len(data) >= 2 and data[1] == 126 else (1, 3)
+        long = len(data) >= pos + 2 and data[pos + 1] == 126
+        start, width = (pos + 2, 6) if long else (pos + 1, 3)
         chunk = data[start : start + width]
         if len(chunk) < width:
             raise Graph6ParseError("truncated order field", len(data), line_number)
@@ -67,8 +68,8 @@ def _decode_order(data: bytes, line_number: Optional[int]) -> tuple[int, int]:
             n = (n << 6) | (byte - 63)
         return n, start + width
     if not 63 <= c0 <= 126:
-        raise Graph6ParseError(f"byte {c0} out of range", 0, line_number)
-    return c0 - 63, 1
+        raise Graph6ParseError(f"byte {c0} out of range", pos, line_number)
+    return c0 - 63, pos + 1
 
 
 def parse_graph6(line: Union[str, bytes], line_number: Optional[int] = None) -> CubicGraph:
@@ -76,7 +77,8 @@ def parse_graph6(line: Union[str, bytes], line_number: Optional[int] = None) -> 
 
     Strict about the format: every byte must lie in 63..126, the bit vector
     must have exactly the right length, and padding bits must be zero.
-    Errors report the byte offset, and the line number when one is given.
+    Errors report the byte offset in the stripped line, a ``>>graph6<<``
+    header included, and the line number when one is given.
     """
     if isinstance(line, str):
         try:
@@ -88,9 +90,8 @@ def parse_graph6(line: Union[str, bytes], line_number: Optional[int] = None) -> 
             ) from None
     else:
         data = line.strip()
-    if data.startswith(GRAPH6_HEADER.encode()):
-        data = data[len(GRAPH6_HEADER):]
-    n, start = _decode_order(data, line_number)
+    header = len(GRAPH6_HEADER) if data.startswith(GRAPH6_HEADER.encode()) else 0
+    n, start = _decode_order(data, header, line_number)
 
     bits_needed = n * (n - 1) // 2
     body_len = (bits_needed + 5) // 6

@@ -162,6 +162,27 @@ class TestVerifyCommands:
         assert code == EXIT_OK
         assert "strong=false routes_agree=true" in out
 
+    def test_strong_disagreement_names_the_edge(self, monkeypatch):
+        from snarkcrit import criticality
+
+        # the fourth suppression of Petersen is called a snark, so the route
+        # totals both read strong=false and only that edge disagrees
+        real = criticality.is_snark
+        calls = []
+
+        def flipped(graph):
+            calls.append(graph)
+            return real(graph) != (len(calls) == 4)
+
+        monkeypatch.setattr(criticality, "is_snark", flipped)
+        code, out, _ = run_cli(command="verify-strong", named="petersen")
+        assert code == EXIT_VIOLATION
+        edge = petersen().edges[3].id
+        assert out.splitlines()[0].endswith(
+            f"routes_agree=false edges=15 non_suppressible=0 DISAGREE "
+            f"edge {edge} suppression_is_snark=true removal_uncolorable=false"
+        )
+
     def test_stats(self, corpus_path):
         code, out, _ = run_cli(command="stats", input_path=str(corpus_path))
         assert code == EXIT_OK
@@ -296,7 +317,6 @@ class TestErrors:
             return SimpleNamespace(
                 pair_count=45,
                 consistent=False,
-                inconsistent_pairs=(VertexPair(0, 1),),
                 degenerate_pairs=(),
                 reports=(report,),
             )

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -187,10 +188,27 @@ class TestStrong:
 
     def test_dumbbell_strong_status(self, dumbbell_graph):
         cert = strong_certificate(dumbbell_graph)
-        assert cert.loop_edges_skipped == 2
+        assert len(cert.per_edge) == 1  # the two loops are skipped
         assert len(cert.non_suppressible_edges) == 1
         assert cert.routes_agree
         assert not cert.is_strong  # removing both vertices leaves nothing to color
+
+    def test_violation_names_the_disagreeing_edge(self, petersen_graph, monkeypatch):
+        # the fourth suppression is called a snark: both route totals still
+        # read strong=false, so only the edge shows the disagreement
+        real = criticality.is_snark
+        calls = []
+
+        def flipped(graph):
+            calls.append(graph)
+            return real(graph) != (len(calls) == 4)
+
+        monkeypatch.setattr(criticality, "is_snark", flipped)
+        with pytest.raises(EquivalenceViolationError) as info:
+            is_strong(petersen_graph)
+        edge = petersen_graph.edges[3].id
+        assert re.findall(r"edge (\d+)", str(info.value)) == [str(edge)]
+        assert "suppression_is_snark=true removal_uncolorable=false" in str(info.value)
 
     def test_mutual_exclusion_with_critical(self, petersen_graph):
         for g in (petersen_graph, blanusa(1), flower_snark(5)):
@@ -202,7 +220,7 @@ class TestLocalEquivalence:
         cert = verify_local_equivalence(petersen_graph)
         assert cert.pair_count == 45
         assert cert.consistent
-        assert cert.inconsistent_pairs == ()
+        assert not [r.pair for r in cert.reports if not r.consistent]
 
     def test_blanusa_full_scans(self):
         for variant in (1, 2):
@@ -249,7 +267,7 @@ def test_local_equivalence_on_random_dot_products(petersen_graph):
         assert g.order == 18 and g.is_cubic and g.is_connected
         assert is_snark(g)
         cert = verify_local_equivalence(g)
-        assert cert.consistent, cert.inconsistent_pairs
+        assert cert.consistent, [r.pair for r in cert.reports if not r.consistent]
         checked += 1
 
 
@@ -307,22 +325,26 @@ class TestClassify:
 class TestDecisionTable:
     @staticmethod
     def _record_solver_calls(monkeypatch) -> list[tuple]:
-        """Patch the solver names of the criticality module to log each decision."""
+        """Patch the solver names that criticality calls to log each decision."""
         calls: list[tuple] = []
 
-        def logged(name, key):
-            real = getattr(criticality, name)
+        def logged(module, name, key):
+            real = getattr(module, name)
 
             def wrapper(*args, **kwargs):
                 calls.append(key(*args))
                 return real(*args, **kwargs)
 
-            monkeypatch.setattr(criticality, name, wrapper)
+            monkeypatch.setattr(module, name, wrapper)
 
-        logged("three_edge_colorable", lambda g: ("coloring", g))
-        logged("chromatic_index_is_4", lambda g: ("coloring", g))
-        logged("nowhere_zero_flow", lambda g, group: ("flow", g, group.name))
-        logged("flow_on_identification", lambda g, p, group: ("identification", p, group.name))
+        logged(criticality, "three_edge_colorable", lambda g: ("coloring", g))
+        logged(coloring, "three_edge_colorable", lambda g: ("coloring", g))
+        logged(criticality, "nowhere_zero_flow", lambda g, group: ("flow", g, group.name))
+        logged(
+            criticality,
+            "flow_on_identification",
+            lambda g, p, group: ("identification", p, group.name),
+        )
         return calls
 
     @pytest.mark.parametrize("name", ["petersen", "flower5"])
@@ -340,12 +362,26 @@ class TestDecisionTable:
         assert is_bicritical(petersen_graph, table=table)
         calls = self._record_solver_calls(monkeypatch)
         assert is_critical(petersen_graph, table=table)
-        assert not strong_certificate(petersen_graph, table=table).pair_route
+        assert not strong_certificate(petersen_graph, table=table).is_strong
         # the strength route only tests each suppression; no removal (the
         # graphs with dangling edges) is decided again
         assert len(calls) == 2 * len(petersen_graph.edges)
         assert not any(c[1].has_dangling for c in calls)
         assert len(table.verdicts) == 45
+
+    def test_adjacent_scan_is_hinted(self, petersen_graph, monkeypatch):
+        # each removal coloring after the first starts from the last witness
+        hints = []
+        real = coloring.three_edge_colorable
+
+        def logged(graph, *, hint=None):
+            hints.append(hint)
+            return real(graph, hint=hint)
+
+        monkeypatch.setattr(coloring, "three_edge_colorable", logged)
+        assert is_critical(petersen_graph, table=DecisionTable(petersen_graph))
+        assert len(hints) == 15
+        assert all(hint is not None for hint in hints[1:])
 
     def test_pair_status_reads_what_the_classifiers_decided(
         self, petersen_graph, monkeypatch

@@ -59,6 +59,22 @@ class TestParseGraph6:
         with pytest.raises(Graph6ParseError):
             parse_graph6(line + "??")
 
+    @pytest.mark.parametrize(
+        "line, offset",
+        [
+            (">>graph6<<C~~", 12),  # trailing byte
+            (">>graph6<<\x7f", 10),  # order byte out of range
+            (">>graph6<<", 10),  # no order byte
+            (">>graph6<<" + encode_graph6(petersen())[:-1] + "\x7f", 18),
+        ],
+    )
+    def test_offsets_count_the_header(self, line, offset):
+        # the offset points into the line as given, header and all
+        with pytest.raises(Graph6ParseError) as exc:
+            parse_graph6(line)
+        assert exc.value.offset == offset
+        assert f"byte {offset}:" in str(exc.value)
+
     def test_non_ascii_character_rejected(self):
         # not read as "?" (the graph6 value 0), which would give an edgeless graph
         for line in ("A\u00e9", "A\udcff"):
