@@ -22,7 +22,8 @@ and when the pair is adjacent, per connecting edge:
 The classifiers quantify these statements over adjacent pairs (critical,
 4-edge-critical) or over all pairs (bicritical, 4-vertex-critical); the
 colorability route and the flow route never share a decision procedure, so
-their coincidence is a meaningful cross-check of both solvers.
+their coincidence is a meaningful cross-check of both solvers.  Strength
+reads each edge's suppression, under both solvers, and its removal coloring.
 
 Every derived-graph decision about one input graph goes through one
 :class:`DecisionTable`, keyed by (surgery, pair or edge, solver), so the
@@ -33,10 +34,11 @@ every key, so no result crosses from one route into the other.
 ``classify`` and the CLI's ``verify-*`` path build one table per graph and
 pass it to the classifiers, which build their own when called alone.
 
-Only :func:`snark_status` and :meth:`DecisionTable.decide` run a solver.
-They look up the surgery operations and the flow solvers as globals of
-this module, where the benchmark's tracer wraps them.  The coloring solver
-is wrapped at two names, and the tracer requires a call at each:
+Only :func:`snark_status`, on the graph it is handed, and
+:meth:`DecisionTable.decide`, on every derived graph, run a solver.  They
+look up the surgery operations and the flow solvers as globals of this
+module, where the benchmark's tracer wraps them.  The coloring solver is
+wrapped at two names, and the tracer requires a call at each:
 ``snark_status`` calls this module's ``three_edge_colorable``, which every
 command reaches, and ``decide`` calls ``coloring.three_edge_colorable``
 through its module, which the classifiers reach on derived graphs.
@@ -170,10 +172,6 @@ class DecisionTable:
         }
         return [VertexPair(u, v) for u, v in sorted(ends)]
 
-    def require_snark(self) -> None:
-        if not self.status.verdict:
-            raise NotASnarkError(f"not a snark: {self.status.reason}")
-
     def decide(self, surgery: str, where, solver: str) -> Optional[Witness]:
         """Run ``solver`` on one derived graph, record the verdict, return the witness.
 
@@ -222,7 +220,8 @@ def _snark_table(graph: CubicGraph, table: Optional[DecisionTable]) -> DecisionT
         table = DecisionTable(graph)
     elif table.graph is not graph:
         raise ValueError("the decision table belongs to another graph")
-    table.require_snark()
+    if not table.status.verdict:
+        raise NotASnarkError(f"not a snark: {table.status.reason}")
     return table
 
 
@@ -346,22 +345,21 @@ class EdgeStrongStatus:
     """Both strength routes for one non-loop edge."""
 
     edge_id: int
-    suppression_is_snark: Optional[bool]  # None when not suppressible
+    suppression_uncolorable: Optional[bool]  # None when not suppressible
     removal_uncolorable: bool  # chromatic index 4 after removing the pair
 
     @property
     def verdict(self) -> bool:
-        # the suppression route, falling back to the pair route when the
-        # edge cannot be suppressed
-        if self.suppression_is_snark is None:
+        # the suppression route, or the pair route where there is none
+        if self.suppression_uncolorable is None:
             return self.removal_uncolorable
-        return self.suppression_is_snark
+        return self.suppression_uncolorable
 
     @property
     def routes_agree(self) -> Optional[bool]:
-        if self.suppression_is_snark is None:
+        if self.suppression_uncolorable is None:
             return None
-        return self.suppression_is_snark == self.removal_uncolorable
+        return self.suppression_uncolorable == self.removal_uncolorable
 
 
 @dataclass(frozen=True)
@@ -380,12 +378,15 @@ class StrongCertificate:
 
     @property
     def non_suppressible_edges(self) -> tuple[int, ...]:
-        return tuple(s.edge_id for s in self.per_edge if s.suppression_is_snark is None)
+        return tuple(
+            s.edge_id for s in self.per_edge if s.suppression_uncolorable is None
+        )
 
     def disagreements(self) -> tuple[str, ...]:
         """Each edge whose two routes disagree, with both values."""
         return tuple(
-            f"edge {s.edge_id} suppression_is_snark={_bool(s.suppression_is_snark)} "
+            f"edge {s.edge_id} "
+            f"suppression_uncolorable={_bool(s.suppression_uncolorable)} "
             f"removal_uncolorable={_bool(s.removal_uncolorable)}"
             for s in self.per_edge
             if s.routes_agree is False
@@ -395,12 +396,13 @@ class StrongCertificate:
 def strong_certificate(
     graph: CubicGraph, *, table: Optional[DecisionTable] = None
 ) -> StrongCertificate:
-    """Compute strength by both routes, edge by edge.
+    """Compute strength by both routes, edge by edge, from the table.
 
-    Route one suppresses each non-loop edge and asks whether the result is
-    still a snark; route two removes the edge's endpoint pair and asks
-    whether the rest has chromatic index 4, the removal coloring verdict
-    that the table shares with the coloring route.  Loops are skipped: they
+    Route one asks whether each non-loop edge's suppression is uncolorable,
+    by both solvers, and raises naming the edge if they disagree; not
+    whether it is a snark, as suppressing a bridge disconnects.  Route two
+    asks whether removing the edge's endpoint pair leaves chromatic index 4;
+    on a snark the parity lemma makes them agree.  Loops are skipped: they
     can neither be suppressed nor mapped to a vertex pair.
     """
     table = _snark_table(graph, table)
@@ -410,17 +412,23 @@ def strong_certificate(
             continue
         removal_uncolorable = not table.verdict(REMOVAL, VertexPair(e.a, e.b), COLORING)
         try:
-            suppressed = suppress_edge(graph, e.id)
+            colorable = table.verdict(SUPPRESSION, e.id, COLORING)
         except NonSuppressibleError:
-            suppressed_snark = None
+            uncolorable = None
         else:
-            suppressed_snark = is_snark(suppressed)
-        statuses.append(EdgeStrongStatus(e.id, suppressed_snark, removal_uncolorable))
+            has_flow = table.verdict(SUPPRESSION, e.id, FLOW)
+            if colorable != has_flow:
+                raise EquivalenceViolationError(
+                    f"edge {e.id} colorable_after_suppression={_bool(colorable)} "
+                    f"flow_after_suppression={_bool(has_flow)}"
+                )
+            uncolorable = not colorable
+        statuses.append(EdgeStrongStatus(e.id, uncolorable, removal_uncolorable))
     return StrongCertificate(per_edge=tuple(statuses))
 
 
 def is_strong(graph: CubicGraph, *, table: Optional[DecisionTable] = None) -> bool:
-    """True iff suppressing any edge leaves a snark; both routes must agree."""
+    """True iff no edge's suppression is 3-edge-colorable; both routes must agree."""
     cert = strong_certificate(graph, table=table)
     if not cert.routes_agree:
         raise EquivalenceViolationError(

@@ -168,14 +168,6 @@ class CubicGraph:
     def is_cubic(self) -> bool:
         return all(d == 3 for d in self.degrees().values())
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        out = set()
-        for e in self.incident_edges(v):
-            w = e.other_endpoint(v)
-            if w is not DANGLING:
-                out.add(w)
-        return frozenset(out)
-
     def connecting_edges(self, u: int, v: int) -> tuple[int, ...]:
         """Ids of non-loop edges joining ``u`` and ``v``, in id order."""
         if u not in self.vertices or v not in self.vertices:

@@ -4,7 +4,15 @@ from pathlib import Path
 
 import pytest
 
-from snarkcrit.graph_io import blanusa, complete4, dumbbell, flower_snark, petersen, theta
+from snarkcrit.graph_io import (
+    blanusa,
+    complete4,
+    dumbbell,
+    flower_snark,
+    parse_graph6,
+    petersen,
+    theta,
+)
 
 DATA_DIR = Path(__file__).parent / "data"
 CORPUS_PATH = DATA_DIR / "snarks_order_le28.g6"
@@ -33,6 +41,18 @@ def theta_graph():
 @pytest.fixture(scope="session")
 def dumbbell_graph():
     return dumbbell()
+
+
+@pytest.fixture(scope="session")
+def bridged_snark_g6() -> str:
+    """Two Petersen graphs, each with one edge subdivided, whose two new
+    vertices are joined by a bridge (order 22)."""
+    return "UHeA@GUAo????@??_@G?O?@??AO?Ao?@Z????B?G"
+
+
+@pytest.fixture(scope="session")
+def bridged_snark(bridged_snark_g6):
+    return parse_graph6(bridged_snark_g6)
 
 
 @pytest.fixture(scope="session")

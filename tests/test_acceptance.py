@@ -218,8 +218,9 @@ def test_supplementary_order_34_capability_probe():
     off = a.order
     removed = ((0, 4), (1, 2))
     x, y = 0, 4  # adjacent in b
-    bx = sorted(w for w in b.neighbors(x) if w != y)
-    by = sorted(w for w in b.neighbors(y) if w != x)
+    nbrs = {v: [e.other_endpoint(v) for e in b.incident_edges(v)] for v in (x, y)}
+    bx = sorted(w for w in nbrs[x] if w != y)
+    by = sorted(w for w in nbrs[y] if w != x)
     edges = [
         (e.a, e.b)
         for e in a.edges

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from snarkcrit.cli import (
+    COMMANDS,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_UNREADABLE,
@@ -20,7 +21,7 @@ from snarkcrit.cli import (
     main,
     run,
 )
-from snarkcrit.criticality import EquivalenceViolationError
+from snarkcrit.criticality import SUPPRESSION, DecisionTable, EquivalenceViolationError
 from snarkcrit.graph_io import blanusa, encode_graph6, petersen
 from snarkcrit.multigraph import VertexPair
 
@@ -163,25 +164,37 @@ class TestVerifyCommands:
         assert "strong=false routes_agree=true" in out
 
     def test_strong_disagreement_names_the_edge(self, monkeypatch):
-        from snarkcrit import criticality
+        # both solvers call the fourth suppression of Petersen uncolorable,
+        # so the route totals both read strong=false and only that edge
+        # disagrees
+        edge = petersen().edges[3].id
+        real = DecisionTable.verdict
 
-        # the fourth suppression of Petersen is called a snark, so the route
-        # totals both read strong=false and only that edge disagrees
-        real = criticality.is_snark
-        calls = []
+        def flipped(self, surgery, where, solver):
+            flip = surgery == SUPPRESSION and where == edge
+            return real(self, surgery, where, solver) != flip
 
-        def flipped(graph):
-            calls.append(graph)
-            return real(graph) != (len(calls) == 4)
-
-        monkeypatch.setattr(criticality, "is_snark", flipped)
+        monkeypatch.setattr(DecisionTable, "verdict", flipped)
         code, out, _ = run_cli(command="verify-strong", named="petersen")
         assert code == EXIT_VIOLATION
-        edge = petersen().edges[3].id
         assert out.splitlines()[0].endswith(
             f"routes_agree=false edges=15 non_suppressible=0 DISAGREE "
-            f"edge {edge} suppression_is_snark=true removal_uncolorable=false"
+            f"edge {edge} suppression_uncolorable=true removal_uncolorable=false"
         )
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_bridged_snark_passes(self, command, bridged_snark_g6, tmp_path):
+        # suppressing its bridge leaves a disconnected, uncolorable graph,
+        # which the strength route once took for a solver disagreement
+        path = tmp_path / "bridged.g6"
+        path.write_text(bridged_snark_g6 + "\n")
+        code, out, err = run_cli(command=command, input_path=str(path))
+        assert code == EXIT_OK, err
+        if command == "classify":
+            header, row = out.splitlines()
+            assert dict(zip(header.split(","), row.split(",")))["is_strong"] == "true"
+        if command == "verify-strong":
+            assert "strong=true routes_agree=true" in out
 
     def test_stats(self, corpus_path):
         code, out, _ = run_cli(command="stats", input_path=str(corpus_path))

@@ -34,11 +34,14 @@ from snarkcrit.criticality import (
 from snarkcrit.flows import verify_kirchhoff
 from snarkcrit.graph_io import blanusa, flower_snark
 from snarkcrit.multigraph import (
+    NonSuppressibleError,
     VertexPair,
     build_graph,
     expand_triangle,
     remove_vertex_pair,
+    suppress_edge,
 )
+from snarkcrit.structure import find_bridges
 from oracles import colorable_by_backtracking
 
 
@@ -181,7 +184,7 @@ class TestStrong:
         assert not cert.is_strong
         assert not is_strong(petersen_graph)
         # critical snarks cannot be strong: every suppression is colorable
-        assert all(s.suppression_is_snark is False for s in cert.per_edge)
+        assert all(s.suppression_uncolorable is False for s in cert.per_edge)
 
     def test_flower5_not_strong(self):
         assert not is_strong(flower_snark(5))
@@ -194,21 +197,66 @@ class TestStrong:
         assert not cert.is_strong  # removing both vertices leaves nothing to color
 
     def test_violation_names_the_disagreeing_edge(self, petersen_graph, monkeypatch):
-        # the fourth suppression is called a snark: both route totals still
-        # read strong=false, so only the edge shows the disagreement
-        real = criticality.is_snark
-        calls = []
+        # both solvers call the fourth suppression uncolorable: both route
+        # totals still read strong=false, so only the edge shows the
+        # disagreement
+        edge = petersen_graph.edges[3].id
+        real = DecisionTable.verdict
 
-        def flipped(graph):
-            calls.append(graph)
-            return real(graph) != (len(calls) == 4)
+        def flipped(self, surgery, where, solver):
+            flip = surgery == SUPPRESSION and where == edge
+            return real(self, surgery, where, solver) != flip
 
-        monkeypatch.setattr(criticality, "is_snark", flipped)
+        monkeypatch.setattr(DecisionTable, "verdict", flipped)
         with pytest.raises(EquivalenceViolationError) as info:
             is_strong(petersen_graph)
-        edge = petersen_graph.edges[3].id
         assert re.findall(r"edge (\d+)", str(info.value)) == [str(edge)]
-        assert "suppression_is_snark=true removal_uncolorable=false" in str(info.value)
+        assert "suppression_uncolorable=true removal_uncolorable=false" in str(info.value)
+
+    def test_suppression_solvers_disagreeing_names_the_edge(
+        self, petersen_graph, monkeypatch
+    ):
+        # Petersen has no Z4 flow, so a flow solver that finds none only
+        # lies about its suppressions, the first of which is edge 0's
+        monkeypatch.setattr(criticality, "nowhere_zero_flow", lambda *a, **k: None)
+        with pytest.raises(EquivalenceViolationError) as info:
+            is_strong(petersen_graph)
+        edge = petersen_graph.edges[0].id
+        assert re.findall(r"edge (\d+)", str(info.value)) == [str(edge)]
+        assert (
+            "colorable_after_suppression=true flow_after_suppression=false"
+            in str(info.value)
+        )
+
+    def test_bridged_snark_is_strong(self, bridged_snark):
+        # suppressing the bridge leaves two disjoint Petersen graphs: no
+        # snark, but uncolorable, as the removal of the bridge's ends is
+        (bridge,) = find_bridges(bridged_snark)
+        assert len(suppress_edge(bridged_snark, bridge).components()) == 2
+        cert = strong_certificate(bridged_snark)
+        assert cert.routes_agree
+        assert cert.is_strong
+        assert classify(bridged_snark).is_strong is True
+
+    def test_routes_match_the_oracle(self, smoke_set, dumbbell_graph, bridged_snark):
+        names = ("petersen", "flower5", "blanusa1", "blanusa2")
+        for g in [smoke_set[n] for n in names] + [dumbbell_graph, bridged_snark]:
+            per_edge = strong_certificate(g).per_edge
+            assert [s.edge_id for s in per_edge] == [
+                e.id for e in g.edges if not e.is_loop
+            ]
+            for s in per_edge:
+                e = g.edge(s.edge_id)
+                removed = remove_vertex_pair(g, VertexPair(e.a, e.b))
+                assert s.removal_uncolorable == (not colorable_by_backtracking(removed))
+                try:
+                    suppressed = suppress_edge(g, e.id)
+                except NonSuppressibleError:
+                    assert s.suppression_uncolorable is None
+                else:
+                    assert s.suppression_uncolorable == (
+                        not colorable_by_backtracking(suppressed)
+                    )
 
     def test_mutual_exclusion_with_critical(self, petersen_graph):
         for g in (petersen_graph, blanusa(1), flower_snark(5)):
@@ -241,15 +289,19 @@ def test_local_equivalence_on_random_dot_products(petersen_graph):
 
     rng = random.Random(5150)
     a_edges = [(e.a, e.b) for e in petersen_graph.edges]
+    nbrs = {
+        v: sorted(e.other_endpoint(v) for e in petersen_graph.incident_edges(v))
+        for v in petersen_graph.vertices
+    }
     checked = 0
     while checked < 3:
         e1, e2 = rng.sample(a_edges, 2)
         if set(e1) & set(e2):
             continue
         x = rng.randrange(10)
-        y = rng.choice(sorted(petersen_graph.neighbors(x)))
-        bx = sorted(w for w in petersen_graph.neighbors(x) if w != y)
-        by = sorted(w for w in petersen_graph.neighbors(y) if w != x)
+        y = rng.choice(nbrs[x])
+        bx = [w for w in nbrs[x] if w != y]
+        by = [w for w in nbrs[y] if w != x]
         if rng.random() < 0.5:
             bx = bx[::-1]
         edges = [e for e in a_edges if e not in (e1, e2)]
@@ -294,6 +346,24 @@ class TestCoincidence:
 
 
 class TestClassify:
+    def test_snark_status_runs_once_per_graph(
+        self, petersen_graph, bridged_snark, monkeypatch
+    ):
+        # the strength route reads its suppressions from the table instead
+        # of testing each one for snarkness
+        real = criticality.snark_status
+        calls = []
+
+        def counted(graph):
+            calls.append(graph)
+            return real(graph)
+
+        monkeypatch.setattr(criticality, "snark_status", counted)
+        for g in (petersen_graph, bridged_snark):
+            calls.clear()
+            assert classify(g).is_snark
+            assert calls == [g]
+
     def test_petersen_record(self, petersen_graph):
         record = classify(petersen_graph, graph_index=3)
         assert record.graph_index == 3
@@ -367,7 +437,8 @@ class TestDecisionTable:
         # graphs with dangling edges) is decided again
         assert len(calls) == 2 * len(petersen_graph.edges)
         assert not any(c[1].has_dangling for c in calls)
-        assert len(table.verdicts) == 45
+        # 45 removal colorings, 15 suppression colorings, 15 suppression flows
+        assert len(table.verdicts) == 75
 
     def test_adjacent_scan_is_hinted(self, petersen_graph, monkeypatch):
         # each removal coloring after the first starts from the last witness
