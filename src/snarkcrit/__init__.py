@@ -35,7 +35,6 @@ from .flows import (
     Z4,
     FlowAssignment,
     FlowGroup,
-    flow_on_identification,
     nowhere_zero_flow,
     verify_kirchhoff,
 )

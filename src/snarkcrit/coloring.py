@@ -36,6 +36,7 @@ class KleinColor(IntEnum):
 
 
 KLEIN_COLORS = (KleinColor.C01, KleinColor.C10, KleinColor.C11)
+_BITS = {1: 2, 2: 4, 3: 8}  # a color's bit in a used-color mask
 
 #: Iterations of the search loop, summed over every call in this process.
 search_steps = 0
@@ -53,19 +54,28 @@ class EdgeColoring:
 
         Proper means: every non-loop edge has a nonzero color, no loops
         exist, and the colors meeting at any vertex are pairwise distinct.
+        One pass over the edges, with a used-color bitmask per vertex; a
+        loop meets itself at its vertex.  The assignment holds no other edge
+        when it colors every edge and has as many entries as there are edges.
         """
-        non_loop = [e for e in self.graph.edges if not e.is_loop]
-        if len(non_loop) != len(self.graph.edges):
+        assignment = self.assignment
+        used = dict.fromkeys(self.graph.vertices, 0)
+        try:
+            for eid, a, b in self.graph.edges:
+                bit = _BITS.get(assignment.get(eid))
+                if bit is None:
+                    return False
+                if a is not DANGLING:
+                    if used[a] & bit:
+                        return False
+                    used[a] |= bit
+                if b is not DANGLING:
+                    if used[b] & bit:
+                        return False
+                    used[b] |= bit
+        except TypeError:  # an unhashable color
             return False
-        if set(self.assignment) != {e.id for e in non_loop}:
-            return False
-        if any(c not in (1, 2, 3) for c in self.assignment.values()):
-            return False
-        for v in self.graph.vertices:
-            colors = [self.assignment[e.id] for e in self.graph.incident_edges(v)]
-            if len(set(colors)) != len(colors):
-                return False
-        return True
+        return len(assignment) == len(self.graph.edges)
 
 
 def three_edge_colorable(

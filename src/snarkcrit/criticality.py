@@ -28,20 +28,29 @@ reads each edge's suppression, under both solvers, and its removal coloring.
 Every derived-graph decision about one input graph goes through one
 :class:`DecisionTable`, keyed by (surgery, pair or edge, solver), so the
 classifiers that share a statement share its verdict instead of deciding it
-again.  The table also hands each solver call the last witness of the same
-surgery and solver as a hint for its value order; the solver is part of
-every key, so no result crosses from one route into the other.
+again.  The table builds each derived graph once for both of its solvers,
+and hands each solver call the last witness of the same surgery and solver
+as a hint for its value order.  On the three pair routes it also walks each
+solver witness to other pairs: the witness, read on the whole parent graph,
+is proper except at the pair's two vertices, and changing one edge at one
+of them moves that defect to the edge's other end.  Each pair reached gets
+a candidate witness, which settles the pair only after it passed the check
+of the pair's own derived graph; a pair without one, or whose candidate
+fails, goes to the solver, so every negative verdict is a solver's.  The
+solver is part of every key, and neither hints nor walks leave their
+(surgery, solver), so no result crosses from one route into the other.
 ``classify`` and the CLI's ``verify-*`` path build one table per graph and
 pass it to the classifiers, which build their own when called alone.
 
 Only :func:`snark_status`, on the graph it is handed, and
-:meth:`DecisionTable.decide`, on every derived graph, run a solver.  They
-look up the surgery operations and the flow solvers as globals of this
-module, where the benchmark's tracer wraps them.  The coloring solver is
-wrapped at two names, and the tracer requires a call at each:
-``snark_status`` calls this module's ``three_edge_colorable``, which every
-command reaches, and ``decide`` calls ``coloring.three_edge_colorable``
-through its module, which the classifiers reach on derived graphs.
+:meth:`DecisionTable.decide`, on every derived graph, run a solver.  The
+benchmark's tracer wraps the solvers and surgeries where they are looked
+up, and requires a call at each name:
+``snark_status`` calls this module's ``three_edge_colorable`` and
+``nowhere_zero_flow``, which every command reaches; ``decide`` calls
+``coloring.three_edge_colorable`` and ``flows.nowhere_zero_flow`` through
+their modules, builds identifications through ``flows.identify_vertices``
+and the other derived graphs through this module's names.
 """
 
 from __future__ import annotations
@@ -50,11 +59,12 @@ import time
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from operator import itemgetter
 from typing import Optional, Union
 
-from . import coloring
-from .coloring import EdgeColoring, three_edge_colorable
-from .flows import Z4, FlowAssignment, flow_on_identification, nowhere_zero_flow
+from . import coloring, flows
+from .coloring import KLEIN_COLORS, EdgeColoring, three_edge_colorable
+from .flows import Z4, FlowAssignment, nowhere_zero_flow, verify_kirchhoff
 from .multigraph import (
     DANGLING,
     CubicGraph,
@@ -134,15 +144,46 @@ FLOW = "flow"
 
 Witness = Union[EdgeColoring, FlowAssignment]
 
+_ID = itemgetter(0)
+_HEAD = itemgetter(2)
+
+# the pair routes whose witnesses are walked to neighbouring pairs
+_WALKED = ((REMOVAL, COLORING), (REMOVAL, FLOW), (IDENTIFICATION, FLOW))
+
+#: Transported witnesses checked by :meth:`DecisionTable.decide`, summed
+#: over every table in this process.
+witness_checks = 0
+
 
 class DecisionTable:
     """Every derived-graph decision about one parent graph, each made once.
 
     A verdict is keyed by (surgery, pair or edge id, solver).  Besides the
-    verdicts the table keeps only the snark status of the parent and, per
-    (surgery, solver), the assignment of the last witness found, which the
-    next call of that solver on that surgery gets as its hint.  Witnesses
-    and derived graphs are returned to the caller, never stored.
+    verdicts the table keeps the snark status of the parent; per (surgery,
+    solver), the assignment of the last witness found, which the next
+    solver call of that surgery and solver gets as its hint; the last
+    derived graph built, which the next decision at the same place reuses;
+    and at most one transported witness per undecided key of a pair route.
+    Witnesses are returned to the caller, never stored.
+
+    A witness on a pair route is walked to neighbouring pairs.  Lifted to
+    every edge of the parent, it is proper (for a coloring) or balanced
+    (for a flow) at every vertex but the pair's two, where its defects are:
+    the color sum, or the net outflow, which is the same nonzero value at
+    both ends of the pair, up to sign.  At a defect d, changing the value
+    of one edge dw makes d proper and moves the defect to w: a coloring
+    recolors dw with the sum of the two other colors at d, which must
+    differ; a flow adds or subtracts d's net outflow on dw, which must not
+    become 0.  The result is a candidate witness for the pair of the other
+    defect and w, of the same surgery and solver.  This is the parity
+    argument of the snark literature (Nedela and Skoviera, J. Graph Theory
+    1996).  ``decide`` settles a key by its candidate only after the
+    candidate passed the check of the key's own derived graph
+    (:meth:`EdgeColoring.is_proper`, or :func:`verify_kirchhoff` and
+    :meth:`FlowAssignment.is_nowhere_zero`), as a certifying algorithm does
+    (McConnell, Mehlhorn, Naher and Schweitzer, Comput. Sci. Rev. 2011).
+    A rejected candidate, and every key without one, goes to the solver,
+    so every negative verdict is a solver's.
     """
 
     def __init__(self, graph: CubicGraph, status: Optional[SnarkStatus] = None):
@@ -150,6 +191,17 @@ class DecisionTable:
         self._status = status
         self.verdicts: dict[tuple, bool] = {}
         self._last: dict[tuple[str, str], dict[int, int]] = {}
+        # key -> (a witness's values on every parent edge, the moves (edge
+        # id, new value) that take it to the key's pair)
+        self._candidates: dict[tuple, tuple[dict[int, int], tuple]] = {}
+        self._derived: tuple = (None, None)  # ((surgery, where), derived graph)
+        # a walk reads each defect's three parent edges, so the parent must
+        # be cubic, with no loops and no dangling edges
+        self._walkable = (
+            graph.is_cubic
+            and not graph.has_dangling
+            and not any(e.is_loop for e in graph.edges)
+        )
 
     @property
     def status(self) -> SnarkStatus:
@@ -173,37 +225,31 @@ class DecisionTable:
         return [VertexPair(u, v) for u, v in sorted(ends)]
 
     def decide(self, surgery: str, where, solver: str) -> Optional[Witness]:
-        """Run ``solver`` on one derived graph, record the verdict, return the witness.
+        """Decide one derived graph, record the verdict, return the witness.
 
         ``where`` is a vertex pair for removal and identification, an edge
-        id otherwise.  Suppression raises :class:`NonSuppressibleError`
-        where it is undefined.
+        id otherwise.  The key's transported witness settles it if it passes
+        its check; otherwise ``solver`` runs.  Suppression raises
+        :class:`NonSuppressibleError` where it is undefined.
         """
+        key = (surgery, where, solver)
         route = (surgery, solver)
-        hint = self._last.get(route)
-        graph = self.graph
-        if surgery == IDENTIFICATION:
-            witness = flow_on_identification(graph, where, Z4, hint=hint)
-        else:
-            if surgery == REMOVAL:
-                derived = remove_vertex_pair(graph, where)
-            elif surgery == DELETION:
-                derived = delete_edge(graph, where)
-            elif surgery == CONTRACTION:
-                derived = contract_edge(graph, where)
-            elif surgery == SUPPRESSION:
-                derived = suppress_edge(graph, where)
-            else:
-                raise ValueError(f"unknown surgery {surgery!r}")
+        derived = self._derived_graph(surgery, where)
+        candidate = self._candidates.pop(key, None)
+        witness = candidate and self._transported(key, derived, candidate)
+        solved = witness is None
+        if solved:
+            hint = self._last.get(route)
             if solver == COLORING:
                 witness = coloring.three_edge_colorable(derived, hint=hint)
             else:
-                witness = nowhere_zero_flow(derived, Z4, hint=hint)
-        self.verdicts[(surgery, where, solver)] = witness is not None
+                witness = flows.nowhere_zero_flow(derived, Z4, hint=hint)
+        self.verdicts[key] = witness is not None
         if witness is not None:
-            self._last[route] = (
-                witness.assignment if solver == COLORING else witness.values
-            )
+            values = witness.assignment if solver == COLORING else witness.values
+            self._last[route] = values
+            if solved and self._walkable and route in _WALKED:
+                self._walk(surgery, where, solver, values)
         return witness
 
     def verdict(self, surgery: str, where, solver: str) -> bool:
@@ -212,6 +258,139 @@ class DecisionTable:
         if key not in self.verdicts:
             self.decide(surgery, where, solver)
         return self.verdicts[key]
+
+    def _derived_graph(self, surgery: str, where) -> CubicGraph:
+        """The graph ``surgery`` derives at ``where``, built once for both solvers.
+
+        Only the last one built is kept.  Identifications are built through
+        ``flows.identify_vertices``, the other surgeries through this
+        module's names.
+        """
+        place, derived = self._derived
+        if place == (surgery, where):
+            return derived
+        graph = self.graph
+        if surgery == REMOVAL:
+            derived = remove_vertex_pair(graph, where)
+        elif surgery == IDENTIFICATION:
+            derived = flows.identify_vertices(graph, where)
+        elif surgery == DELETION:
+            derived = delete_edge(graph, where)
+        elif surgery == CONTRACTION:
+            derived = contract_edge(graph, where)
+        elif surgery == SUPPRESSION:
+            derived = suppress_edge(graph, where)
+        else:
+            raise ValueError(f"unknown surgery {surgery!r}")
+        self._derived = ((surgery, where), derived)
+        return derived
+
+    def _transported(self, key: tuple, derived: CubicGraph, candidate: tuple) -> Optional[Witness]:
+        """The key's candidate as a witness on ``derived``, if it passes the check."""
+        global witness_checks
+        witness_checks += 1
+        surgery, (u, v), solver = key
+        lifted, moves = candidate
+        ids = tuple(map(_ID, derived.edges))
+        values = dict(zip(ids, map(lifted.__getitem__, ids)))
+        for eid, x in moves:
+            if eid in values:
+                values[eid] = x
+        if solver == COLORING:
+            witness = EdgeColoring(derived, values)
+            return witness if witness.is_proper() else None
+        if surgery == REMOVAL:
+            # a removal stores an edge whose tail was removed reversed
+            for eid, a, b in self.graph.incident_edges(u) + self.graph.incident_edges(v):
+                if eid in values and (a == u or a == v):
+                    values[eid] = Z4.neg_table[values[eid]]
+        orientation = dict(zip(ids, map(_HEAD, derived.edges)))
+        flow = FlowAssignment(derived, Z4, orientation, values)
+        if flow.is_nowhere_zero() and verify_kirchhoff(derived, flow):
+            return flow
+        return None
+
+    def _walk(self, surgery: str, where: VertexPair, solver: str, values) -> None:
+        """Store a candidate for every pair that defect moves reach from ``where``.
+
+        A breadth-first search over pairs, from the witness ``values`` on
+        the derived graph at ``where``, lifted to every parent edge.  It
+        passes only through pairs with neither a verdict nor a candidate,
+        and a candidate is a lifted witness with the moves (edge id, new
+        value) that lead to its pair.
+        """
+        incidence = self.graph._incidence
+        verdicts = self.verdicts
+        candidates = self._candidates
+        u, v = where
+        queue = [(u, v, lifted, ()) for lifted in self._lifted(surgery, solver, u, v, values)]
+        for u, v, lifted, moves in queue:
+            changed = dict(moves)
+            for d, other in ((v, u), (u, v)):
+                incident = [
+                    (eid, a, b, changed.get(eid) or lifted[eid])
+                    for eid, a, b in incidence[d]
+                ]
+                if solver == COLORING:
+                    s = incident[0][3] ^ incident[1][3] ^ incident[2][3]
+                else:  # d's net outflow
+                    s = sum(x if a == d else -x for _, a, _, x in incident) % 4
+                if not s:
+                    continue
+                for eid, a, b, x in incident:
+                    w = b if a == d else a
+                    if w == other:
+                        continue
+                    if solver == COLORING:
+                        new = KLEIN_COLORS[(x ^ s) - 1] if x != s else None
+                    else:
+                        new = (x - s if a == d else x + s) % 4
+                    if not new:
+                        continue
+                    # a plain tuple finds the VertexPair key it equals
+                    pair = (other, w) if other < w else (w, other)
+                    key = (surgery, pair, solver)
+                    if key in verdicts or key in candidates:
+                        continue
+                    step = moves + ((eid, new),)
+                    candidates[(surgery, VertexPair(*pair), solver)] = (lifted, step)
+                    queue.append((other, w, lifted, step))
+
+    def _lifted(
+        self, surgery: str, solver: str, u: int, v: int, values
+    ) -> list[dict[int, int]]:
+        """The witness ``values`` of the pair (u, v), read on every parent edge.
+
+        A flow is read in the parent's orientation: an identification keeps
+        every edge and its orientation, and a removal stores an edge whose
+        tail was removed reversed.  The derived graph either drops the edges
+        joining u and v or makes them loops, so their values are free, and
+        there is one lift per choice: each nonzero value, or each color of a
+        single joining edge that keeps the defects nonzero.  Two parallel
+        joining edges are not colored.
+        """
+        graph = self.graph
+        joining = graph.connecting_edges(u, v)
+        if solver == COLORING:
+            if len(joining) > 1:
+                return []
+            lifted = values
+            if joining:
+                a1, a2 = (values[e.id] for e in graph.incident_edges(u) if e.id != joining[0])
+                choices = [c for c in KLEIN_COLORS if c != a1 ^ a2]
+        else:
+            lifted = values
+            if surgery == REMOVAL:
+                neg = Z4.neg_table
+                lifted = {
+                    eid: values[eid] if a != u and a != v else neg[values[eid]]
+                    for eid, a, _ in graph.edges
+                    if eid in values
+                }
+            choices = Z4.nonzero()
+        if not joining:
+            return [lifted]
+        return [{**lifted, **dict.fromkeys(joining, c)} for c in choices]
 
 
 def _snark_table(graph: CubicGraph, table: Optional[DecisionTable]) -> DecisionTable:

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Union
 
 
@@ -29,6 +30,10 @@ class NonSuppressibleError(GraphError):
 
 class _EndpointMarker(Enum):
     DANGLING = 0
+
+    # the marker is a singleton compared by identity; the identity hash
+    # keeps hashing edges and endpoint sets in C
+    __hash__ = object.__hash__
 
     def __repr__(self) -> str:
         return "DANGLING"
@@ -71,23 +76,28 @@ class Edge(NamedTuple):
         raise GraphError(f"vertex {v} is not an endpoint of edge {self.id}")
 
 
-@dataclass(frozen=True)
-class VertexPair:
-    """An unordered pair of distinct vertices, stored with ``u < v``."""
+class VertexPair(tuple):
+    """An unordered pair of distinct vertices, stored with ``u < v``.
 
-    u: int
-    v: int
+    A tuple, so that building, hashing and comparing a pair, which the
+    decision tables do for every key, run in C.
+    """
 
-    def __post_init__(self) -> None:
-        if self.u == self.v:
+    __slots__ = ()
+
+    def __new__(cls, u: int, v: int) -> VertexPair:
+        if u == v:
             raise GraphError("vertex pair must consist of two distinct vertices")
-        if self.u > self.v:
-            u, v = self.u, self.v
-            object.__setattr__(self, "u", v)
-            object.__setattr__(self, "v", u)
+        return tuple.__new__(cls, (u, v) if u < v else (v, u))
 
-    def __iter__(self):
-        return iter((self.u, self.v))
+    u = property(itemgetter(0))
+    v = property(itemgetter(1))
+
+    def __getnewargs__(self) -> tuple[int, int]:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"VertexPair(u={self[0]}, v={self[1]})"
 
 
 @dataclass(frozen=True)
@@ -104,6 +114,15 @@ class CubicGraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
+        # set operations decide validity; the loop below only names the
+        # first offender in edge order
+        if self.edges:
+            ids, tails, heads = zip(*self.edges)
+            ends = set(tails)
+            ends.update(heads)
+            ends.discard(DANGLING)
+            if len(set(ids)) == len(ids) and ends <= self.vertices:
+                return
         seen = set()
         for e in self.edges:
             if e.id in seen:
@@ -126,6 +145,11 @@ class CubicGraph:
     @cached_property
     def _by_id(self) -> dict[int, Edge]:
         return {e.id: e for e in self.edges}
+
+    @cached_property
+    def _position(self) -> dict[int, int]:
+        """Edge id -> index in ``edges``."""
+        return {e.id: i for i, e in enumerate(self.edges)}
 
     def edge(self, edge_id: int) -> Edge:
         try:
@@ -256,23 +280,26 @@ def remove_vertex_pair(graph: CubicGraph, pair: VertexPair) -> CubicGraph:
     both endpoints inside the pair (loops there, and any edge joining the
     two vertices) are deleted outright, since they would keep no
     attachment.  An edge that was already dangling and attached at the pair
-    degenerates into a free edge.  One pass over the edges, which keeps
-    their id order.
+    degenerates into a free edge.  Only the edges at the pair are visited,
+    in a copy of the edge tuple, which keeps their order.
     """
     u, v = pair
     if u not in graph.vertices or v not in graph.vertices:
         raise GraphError("both vertices of the pair must belong to the graph")
-    edges = []
-    for e in graph.edges:
-        eid, a, b = e
+    edges = list(graph.edges)
+    position = graph._position
+    deleted = set()
+    for eid, a, b in graph._incidence[u] + graph._incidence[v]:
         if a == u or a == v:
             if b == u or b == v:
-                continue  # loop at the pair, or an edge joining it: no attachment left
-            edges.append(Edge(eid, b, DANGLING))  # b survives, or the edge is now free
-        elif b == u or b == v:
-            edges.append(Edge(eid, a, DANGLING))
+                # a loop at the pair, or an edge joining it: no attachment left
+                deleted.add(position[eid])
+                continue
+            edges[position[eid]] = Edge(eid, b, DANGLING)  # b survives, or the edge is now free
         else:
-            edges.append(e)
+            edges[position[eid]] = Edge(eid, a, DANGLING)
+    for i in sorted(deleted, reverse=True):
+        del edges[i]
     return CubicGraph(graph.vertices - {u, v}, tuple(edges))
 
 
@@ -280,8 +307,9 @@ def identify_vertices(graph: CubicGraph, pair: VertexPair) -> CubicGraph:
     """Merge two distinct vertices into one; connecting edges become loops.
 
     Parallel edges and loops are retained.  The merged vertex reuses the
-    smaller of the two ids.  One pass over the edges, which keeps their id
-    order; with no dangling edges, no edge needs its slots normalized.
+    smaller of the two ids.  Only the edges at the other vertex are
+    visited, in a copy of the edge tuple, which keeps their order; with no
+    dangling edges, no edge needs its slots normalized.
     """
     u, v = pair
     if u not in graph.vertices or v not in graph.vertices:
@@ -289,12 +317,10 @@ def identify_vertices(graph: CubicGraph, pair: VertexPair) -> CubicGraph:
     if graph.has_dangling:
         raise GraphError("cannot identify vertices in a graph with dangling edges")
     merged, gone = min(u, v), max(u, v)
-    edges = []
-    for e in graph.edges:
-        eid, a, b = e
-        if a == gone or b == gone:
-            e = Edge(eid, merged if a == gone else a, merged if b == gone else b)
-        edges.append(e)
+    edges = list(graph.edges)
+    position = graph._position
+    for eid, a, b in graph._incidence[gone]:
+        edges[position[eid]] = Edge(eid, merged if a == gone else a, merged if b == gone else b)
     return CubicGraph(graph.vertices - {gone}, tuple(edges))
 
 

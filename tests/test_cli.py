@@ -21,9 +21,16 @@ from snarkcrit.cli import (
     main,
     run,
 )
-from snarkcrit.criticality import SUPPRESSION, DecisionTable, EquivalenceViolationError
+from snarkcrit.criticality import (
+    FLOW,
+    IDENTIFICATION,
+    SUPPRESSION,
+    DecisionTable,
+    EquivalenceViolationError,
+)
 from snarkcrit.graph_io import blanusa, encode_graph6, petersen
 from snarkcrit.multigraph import VertexPair
+from faults import deny_decision
 
 
 def run_cli(**kwargs) -> tuple[int, str, str]:
@@ -451,15 +458,7 @@ class TestErrors:
         assert code == EXIT_OK
 
     def test_inconsistent_line_names_the_statements(self, monkeypatch):
-        from snarkcrit import criticality
-
-        real = criticality.flow_on_identification
-
-        def flipped(graph, pair, group, *, hint=None):
-            flow = real(graph, pair, group, hint=hint)
-            return None if pair == VertexPair(0, 2) else flow
-
-        monkeypatch.setattr(criticality, "flow_on_identification", flipped)
+        deny_decision(monkeypatch, (IDENTIFICATION, VertexPair(0, 2), FLOW))
         code, out, _ = run_cli(command="verify-local", named="petersen")
         assert code == EXIT_VIOLATION
         assert (
@@ -491,15 +490,7 @@ class TestReproduce:
 
     @pytest.fixture
     def flipped_identification(self, monkeypatch):
-        from snarkcrit import criticality
-
-        real = criticality.flow_on_identification
-
-        def flipped(graph, pair, group, *, hint=None):
-            flow = real(graph, pair, group, hint=hint)
-            return None if pair == VertexPair(0, 2) else flow
-
-        monkeypatch.setattr(criticality, "flow_on_identification", flipped)
+        deny_decision(monkeypatch, (IDENTIFICATION, VertexPair(0, 2), FLOW))
 
     @pytest.mark.parametrize("command", ["classify", "verify-local"])
     def test_graph6_input(self, command, tmp_path, capsys, flipped_identification):
@@ -535,15 +526,11 @@ class TestReproduce:
         clean = capsys.readouterr()
         assert "reproduce" not in clean.err
 
-        from snarkcrit import criticality
-
-        real = criticality.flow_on_identification
-
-        def flipped(graph, pair, group, *, hint=None):
-            flow = real(graph, pair, group, hint=hint)
-            return None if graph.order == 10 and pair == VertexPair(0, 2) else flow
-
-        monkeypatch.setattr(criticality, "flow_on_identification", flipped)
+        deny_decision(
+            monkeypatch,
+            (IDENTIFICATION, VertexPair(0, 2), FLOW),
+            where_graph=lambda graph: graph.order == 10,
+        )
         assert main(["--input", str(path), "--command", "verify-local"]) == EXIT_VIOLATION
         out, err = capsys.readouterr()
         assert err.count("reproduce:") == 2 and err.count(lines[0]) == 2

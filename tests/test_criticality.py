@@ -4,11 +4,13 @@ import os
 import re
 import subprocess
 import sys
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
 from snarkcrit import coloring, criticality, flows
+from snarkcrit.coloring import EdgeColoring
 from snarkcrit.criticality import (
     COLORING,
     FLOW,
@@ -42,6 +44,7 @@ from snarkcrit.multigraph import (
     suppress_edge,
 )
 from snarkcrit.structure import find_bridges
+from faults import deny_decision
 from oracles import colorable_by_backtracking
 
 
@@ -216,9 +219,10 @@ class TestStrong:
     def test_suppression_solvers_disagreeing_names_the_edge(
         self, petersen_graph, monkeypatch
     ):
-        # Petersen has no Z4 flow, so a flow solver that finds none only
-        # lies about its suppressions, the first of which is edge 0's
-        monkeypatch.setattr(criticality, "nowhere_zero_flow", lambda *a, **k: None)
+        # the decision table's flow solver finds no flow anywhere; the
+        # strength route's first flow decision is edge 0's suppression (the
+        # snark test looks the solver up in criticality, untouched here)
+        monkeypatch.setattr(flows, "nowhere_zero_flow", lambda *a, **k: None)
         with pytest.raises(EquivalenceViolationError) as info:
             is_strong(petersen_graph)
         edge = petersen_graph.edges[0].id
@@ -282,19 +286,17 @@ class TestLocalEquivalence:
         assert cert.degenerate_pairs == (VertexPair(0, 1),)
 
 
-def test_local_equivalence_on_random_dot_products(petersen_graph):
-    # snarks the curated fixtures never saw: random dot products of two
-    # Petersen copies, with the statement agreement as the oracle
+def _petersen_dot_products(petersen_graph, seed: int):
+    """Random dot products of two Petersen copies (order 18), endlessly."""
     import random
 
-    rng = random.Random(5150)
+    rng = random.Random(seed)
     a_edges = [(e.a, e.b) for e in petersen_graph.edges]
     nbrs = {
         v: sorted(e.other_endpoint(v) for e in petersen_graph.incident_edges(v))
         for v in petersen_graph.vertices
     }
-    checked = 0
-    while checked < 3:
+    while True:
         e1, e2 = rng.sample(a_edges, 2)
         if set(e1) & set(e2):
             continue
@@ -315,12 +317,17 @@ def test_local_equivalence_on_random_dot_products(petersen_graph):
         glued = build_graph(20, edges)
         keep = sorted(v for v in glued.vertices if glued.degree(v) > 0)
         remap = {v: i for i, v in enumerate(keep)}
-        g = build_graph(len(keep), [(remap[e.a], remap[e.b]) for e in glued.edges])
+        yield build_graph(len(keep), [(remap[e.a], remap[e.b]) for e in glued.edges])
+
+
+def test_local_equivalence_on_random_dot_products(petersen_graph):
+    # snarks the curated fixtures never saw: random dot products of two
+    # Petersen copies, with the statement agreement as the oracle
+    for g in islice(_petersen_dot_products(petersen_graph, 5150), 3):
         assert g.order == 18 and g.is_cubic and g.is_connected
         assert is_snark(g)
         cert = verify_local_equivalence(g)
         assert cert.consistent, [r.pair for r in cert.reports if not r.consistent]
-        checked += 1
 
 
 def test_local_equivalence_on_expanded_snark(petersen_graph):
@@ -394,43 +401,50 @@ class TestClassify:
 
 class TestDecisionTable:
     @staticmethod
-    def _record_solver_calls(monkeypatch) -> list[tuple]:
-        """Patch the solver names that criticality calls to log each decision."""
+    def _record_decisions(monkeypatch) -> list[tuple]:
+        """Log each solver call and each witness check, with its graph.
+
+        A decision is a solver call or, for a transported witness, a check;
+        a rejected witness would log both.
+        """
         calls: list[tuple] = []
 
-        def logged(module, name, key):
-            real = getattr(module, name)
+        def logged(owner, name, key):
+            real = getattr(owner, name)
 
             def wrapper(*args, **kwargs):
                 calls.append(key(*args))
                 return real(*args, **kwargs)
 
-            monkeypatch.setattr(module, name, wrapper)
+            monkeypatch.setattr(owner, name, wrapper)
 
         logged(criticality, "three_edge_colorable", lambda g: ("coloring", g))
         logged(coloring, "three_edge_colorable", lambda g: ("coloring", g))
-        logged(criticality, "nowhere_zero_flow", lambda g, group: ("flow", g, group.name))
-        logged(
-            criticality,
-            "flow_on_identification",
-            lambda g, p, group: ("identification", p, group.name),
-        )
+        logged(criticality, "nowhere_zero_flow", lambda g, group: ("flow", g))
+        logged(flows, "nowhere_zero_flow", lambda g, group: ("flow", g))
+        logged(EdgeColoring, "is_proper", lambda witness: ("coloring", witness.graph))
+        logged(criticality, "verify_kirchhoff", lambda g, flow: ("flow", g))
         return calls
 
     @pytest.mark.parametrize("name", ["petersen", "flower5"])
     def test_classify_never_repeats_a_decision(self, name, smoke_set, monkeypatch):
-        calls = self._record_solver_calls(monkeypatch)
+        calls = self._record_decisions(monkeypatch)
+        checks = criticality.witness_checks
         record = classify(smoke_set[name])
         assert record.is_bicritical and record.is_4_vertex_critical
         n = smoke_set[name].order
-        # every pair is decided by each route, and nothing twice
-        assert sum(c[0] == "identification" for c in calls) == n * (n - 1) // 2
+        # every pair is decided by each route, by a solver call or a check,
+        # and nothing twice; most pairs are settled by a transported witness
+        removals = [c for c in calls if c[0] == "coloring" and c[1].has_dangling]
+        identifications = [c for c in calls if c[0] == "flow" and c[1].order == n - 1]
+        assert len(removals) == len(identifications) == n * (n - 1) // 2
         assert len(set(calls)) == len(calls)
+        assert criticality.witness_checks - checks > n * (n - 1) // 2
 
     def test_classifiers_share_one_table(self, petersen_graph, monkeypatch):
         table = DecisionTable(petersen_graph)
         assert is_bicritical(petersen_graph, table=table)
-        calls = self._record_solver_calls(monkeypatch)
+        calls = self._record_decisions(monkeypatch)
         assert is_critical(petersen_graph, table=table)
         assert not strong_certificate(petersen_graph, table=table).is_strong
         # the strength route only tests each suppression; no removal (the
@@ -441,7 +455,8 @@ class TestDecisionTable:
         assert len(table.verdicts) == 75
 
     def test_adjacent_scan_is_hinted(self, petersen_graph, monkeypatch):
-        # each removal coloring after the first starts from the last witness
+        # each removal coloring after the first starts from the last witness;
+        # the pairs that a transported witness settles are checked instead
         hints = []
         real = coloring.three_edge_colorable
 
@@ -450,8 +465,10 @@ class TestDecisionTable:
             return real(graph, hint=hint)
 
         monkeypatch.setattr(coloring, "three_edge_colorable", logged)
+        checks = criticality.witness_checks
         assert is_critical(petersen_graph, table=DecisionTable(petersen_graph))
-        assert len(hints) == 15
+        assert len(hints) + criticality.witness_checks - checks == 15
+        assert hints[0] is None
         assert all(hint is not None for hint in hints[1:])
 
     def test_pair_status_reads_what_the_classifiers_decided(
@@ -460,7 +477,7 @@ class TestDecisionTable:
         table = DecisionTable(petersen_graph)
         assert is_bicritical(petersen_graph, table=table)
         assert is_4_vertex_critical(petersen_graph, table=table)
-        calls = self._record_solver_calls(monkeypatch)
+        calls = self._record_decisions(monkeypatch)
         report = pair_status(petersen_graph, VertexPair(0, 2), table=table)
         assert report.consistent and len(report.statements()) == 3
         # only the removal flow is new; the removal coloring and the
@@ -478,14 +495,8 @@ class TestDecisionTable:
 
 
 def test_classify_violation_names_the_classifiers(petersen_graph, monkeypatch):
-    # the flow solver denies the identification of one non-adjacent pair
-    real = criticality.flow_on_identification
-
-    def flipped(graph, pair, group, *, hint=None):
-        flow = real(graph, pair, group, hint=hint)
-        return None if pair == VertexPair(0, 2) else flow
-
-    monkeypatch.setattr(criticality, "flow_on_identification", flipped)
+    # the table denies the identification of one non-adjacent pair
+    deny_decision(monkeypatch, (IDENTIFICATION, VertexPair(0, 2), FLOW))
     with pytest.raises(EquivalenceViolationError) as info:
         classify(petersen_graph)
     message = str(info.value)
@@ -493,26 +504,101 @@ def test_classify_violation_names_the_classifiers(petersen_graph, monkeypatch):
     assert "4-edge-critical" not in message
 
 
+class TestWitnessTransport:
+    """Witnesses walked to other pairs settle a key only after its check."""
+
+    ROUTES = ((REMOVAL, COLORING), (REMOVAL, FLOW), (IDENTIFICATION, FLOW))
+
+    @pytest.mark.parametrize("surgery, solver", ROUTES)
+    def test_corrupted_witness_falls_back_to_the_solver(
+        self, surgery, solver, petersen_graph, monkeypatch
+    ):
+        table = DecisionTable(petersen_graph)
+        assert table.decide(surgery, VertexPair(0, 1), solver) is not None
+        key = next(k for k in table._candidates if k[0] == surgery and k[2] == solver)
+        pair = key[1]
+        lifted, moves = table._candidates[key]
+        # one value flipped, on an edge away from the pair that no move sets
+        moved = {eid for eid, _ in moves}
+        eid = next(
+            e.id
+            for e in petersen_graph.edges
+            if e.id not in moved and not {e.a, e.b} & set(pair)
+        )
+        table._candidates[key] = ({**lifted, eid: lifted[eid] % 3 + 1}, moves)
+
+        solved = []
+        module, name = (coloring, "three_edge_colorable") if solver == COLORING else (
+            flows, "nowhere_zero_flow"
+        )
+        real = getattr(module, name)
+
+        def logged(graph, *args, **kwargs):
+            solved.append(graph)
+            return real(graph, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, logged)
+        checks = criticality.witness_checks
+        witness = table.decide(*key)
+        assert criticality.witness_checks == checks + 1
+        assert len(solved) == 1  # the check failed, so the solver ran
+        assert witness is not None and witness.graph is solved[0]
+        assert table.verdicts[key] is DecisionTable(petersen_graph).verdict(*key) is True
+
+    @pytest.mark.parametrize(
+        "name", ["petersen", "flower5", "blanusa1", "blanusa2", "dot product"]
+    )
+    def test_transported_verdicts_match_a_fresh_table(
+        self, name, smoke_set, petersen_graph, monkeypatch
+    ):
+        if name == "dot product":
+            graph = next(_petersen_dot_products(petersen_graph, 2024))
+        else:
+            graph = smoke_set[name]
+        transported = []
+        real = DecisionTable._transported
+
+        def logged(self, key, derived, candidate):
+            witness = real(self, key, derived, candidate)
+            if witness is not None:
+                transported.append(key)
+            return witness
+
+        monkeypatch.setattr(DecisionTable, "_transported", logged)
+        table = DecisionTable(graph)
+        assert verify_local_equivalence(graph, table=table).consistent
+        assert {(k[0], k[2]) for k in transported} == set(self.ROUTES)
+        monkeypatch.setattr(DecisionTable, "_transported", real)
+        for key in transported:
+            # every transported verdict is positive, and a table that decides
+            # the key first, by its solver, agrees
+            assert table.verdicts[key] is True
+            assert DecisionTable(graph).verdict(*key) is True
+
+
 _STEPS_OF_CLASSIFY = """
-from snarkcrit import coloring, flows
+from snarkcrit import coloring, criticality, flows
 from snarkcrit.criticality import classify
 from snarkcrit.graph_io import flower_snark
 classify(flower_snark(5))
-print(coloring.search_steps, flows.search_steps)
+print(coloring.search_steps, flows.search_steps, criticality.witness_checks)
 """
 
 
 def test_search_step_totals_repeat_exactly():
-    # each solver call adds its loop iterations to a module total; a second
-    # run in this process and a run in a fresh one with another hash seed
-    # add the same numbers
+    # each solver call adds its loop iterations to a module total, and each
+    # transported witness its check; a second run in this process and a run
+    # in a fresh one with another hash seed add the same numbers
+    def totals():
+        return coloring.search_steps, flows.search_steps, criticality.witness_checks
+
     def steps_of_classify():
-        before = coloring.search_steps, flows.search_steps
+        before = totals()
         classify(flower_snark(5))
-        return coloring.search_steps - before[0], flows.search_steps - before[1]
+        return tuple(after - b for after, b in zip(totals(), before))
 
     first = steps_of_classify()
-    assert first[0] > 0 and first[1] > 0
+    assert all(first)
     assert steps_of_classify() == first
     src = str(Path(coloring.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONHASHSEED="12345", PYTHONPATH=src)

@@ -10,7 +10,6 @@ from snarkcrit.flows import (
     KLEIN,
     Z4,
     FlowAssignment,
-    flow_on_identification,
     nowhere_zero_flow,
     verify_kirchhoff,
 )
@@ -20,6 +19,7 @@ from snarkcrit.multigraph import (
     GraphError,
     VertexPair,
     build_graph,
+    identify_vertices,
     remove_vertex_pair,
 )
 from oracles import flow_exists_by_enumeration
@@ -109,20 +109,18 @@ class TestVerifyKirchhoff:
 
 class TestIdentificationFlows:
     def test_petersen_adjacent_matches_enumeration(self, petersen_graph):
-        from snarkcrit.multigraph import identify_vertices
-
         merged = identify_vertices(petersen_graph, VertexPair(0, 1))
         assert flow_exists_by_enumeration(merged, "Z4") is True
-        f = flow_on_identification(petersen_graph, VertexPair(0, 1), Z4)
+        f = nowhere_zero_flow(merged, Z4)
         assert f is not None and f.is_nowhere_zero()
         assert verify_kirchhoff(f.graph, f)
 
     def test_petersen_non_adjacent(self, petersen_graph):
-        f = flow_on_identification(petersen_graph, VertexPair(0, 7), Z4)
+        f = nowhere_zero_flow(identify_vertices(petersen_graph, VertexPair(0, 7)), Z4)
         assert f is not None
 
     def test_dumbbell_identification(self, dumbbell_graph):
-        f = flow_on_identification(dumbbell_graph, VertexPair(0, 1), Z4)
+        f = nowhere_zero_flow(identify_vertices(dumbbell_graph, VertexPair(0, 1)), Z4)
         assert f is not None  # loops only, all satisfiable
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from snarkcrit.multigraph import (
     DANGLING,
     CubicGraph,
+    Edge,
     GraphError,
     NonSuppressibleError,
     VertexPair,
@@ -65,6 +66,32 @@ class TestBuildGraph:
         g = build_graph(1, [(DANGLING, 0)])
         assert g.edges[0].a == 0
         assert g.edges[0].b is DANGLING
+
+
+class TestConstructor:
+    """The checks of ``CubicGraph`` itself, which ``build_graph`` never reaches."""
+
+    def test_duplicate_edge_id(self):
+        edges = (Edge(0, 0, 1), Edge(1, 1, 2), Edge(1, 2, 0))
+        with pytest.raises(GraphError, match=r"^duplicate edge id 1$"):
+            CubicGraph(frozenset({0, 1, 2}), edges)
+
+    def test_missing_endpoint_vertex(self):
+        edges = (Edge(0, 0, 1), Edge(1, 1, DANGLING), Edge(2, 5, 1))
+        with pytest.raises(GraphError, match=r"^edge 2 references missing vertex 5$"):
+            CubicGraph(frozenset({0, 1}), edges)
+
+    def test_first_offender_in_edge_order_is_named(self):
+        edges = (Edge(0, 0, 7), Edge(0, 0, 1))
+        with pytest.raises(GraphError, match=r"^edge 0 references missing vertex 7$"):
+            CubicGraph(frozenset({0, 1}), edges)
+        edges = (Edge(0, 0, 1), Edge(0, 0, 7))
+        with pytest.raises(GraphError, match=r"^duplicate edge id 0$"):
+            CubicGraph(frozenset({0, 1}), edges)
+
+    def test_valid_edges_pass(self):
+        edges = (Edge(3, 0, 1), Edge(8, 1, DANGLING), Edge(5, DANGLING, DANGLING))
+        assert CubicGraph(frozenset({0, 1}), edges).edges == edges
 
 
 class TestVertexPair:
