@@ -195,19 +195,22 @@ class DecisionTable:
         # id, new value) that take it to the key's pair)
         self._candidates: dict[tuple, tuple[dict[int, int], tuple]] = {}
         self._derived: tuple = (None, None)  # ((surgery, where), derived graph)
-        # a walk reads each defect's three parent edges, so the parent must
-        # be cubic, with no loops and no dangling edges
-        self._walkable = (
-            graph.is_cubic
-            and not graph.has_dangling
-            and not any(e.is_loop for e in graph.edges)
-        )
 
     @property
     def status(self) -> SnarkStatus:
         if self._status is None:
             self._status = snark_status(self.graph)
         return self._status
+
+    @cached_property
+    def _walkable(self) -> bool:
+        """A walk reads each defect's three parent edges: a cubic parent with no loops."""
+        graph = self.graph
+        return (
+            graph.is_cubic
+            and not graph.has_dangling
+            and not any(e.is_loop for e in graph.edges)
+        )
 
     @cached_property
     def pairs(self) -> list[VertexPair]:
@@ -319,7 +322,7 @@ class DecisionTable:
         and a candidate is a lifted witness with the moves (edge id, new
         value) that lead to its pair.
         """
-        incidence = self.graph._incidence
+        incident_edges = self.graph.incident_edges
         verdicts = self.verdicts
         candidates = self._candidates
         u, v = where
@@ -329,7 +332,7 @@ class DecisionTable:
             for d, other in ((v, u), (u, v)):
                 incident = [
                     (eid, a, b, changed.get(eid) or lifted[eid])
-                    for eid, a, b in incidence[d]
+                    for eid, a, b in incident_edges(d)
                 ]
                 if solver == COLORING:
                     s = incident[0][3] ^ incident[1][3] ^ incident[2][3]

@@ -124,8 +124,6 @@ KLEIN = FlowGroup(
 #: Iterations of the search loop, summed over every call in this process.
 search_steps = 0
 
-_MISSING = object()
-
 
 @dataclass(frozen=True, eq=False)
 class FlowAssignment:
@@ -146,17 +144,21 @@ def verify_kirchhoff(graph: CubicGraph, flow: FlowAssignment) -> bool:
     The flow must assign an orientation and a group value to every edge;
     anything missing or out of range is an input error.  Only conservation
     is checked here, not the nowhere-zero condition.  One pass over the
-    edges, which adds each value at its head and its negation at its tail.
+    edges, which adds each value at its head and its negation at its tail;
+    a loop adds both at its vertex, and the detached side of a dangling
+    edge goes to a sink that is not checked.
     """
     values, orientation = flow.values, flow.orientation
     order = flow.group.order
     add, neg = flow.group.add_table, flow.group.neg_table
     sums = dict.fromkeys(graph.vertices, 0)
+    sums[DANGLING] = 0
     for eid, a, b in graph.edges:
-        val = values.get(eid, _MISSING)
-        head = orientation.get(eid, _MISSING)
-        if val is _MISSING or head is _MISSING:
-            raise GraphError(f"flow does not cover edge {eid}")
+        try:
+            val = values[eid]
+            head = orientation[eid]
+        except KeyError:
+            raise GraphError(f"flow does not cover edge {eid}") from None
         if not 0 <= val < order:
             raise GraphError(f"value {val} on edge {eid} is outside the group")
         if head == b:
@@ -165,12 +167,9 @@ def verify_kirchhoff(graph: CubicGraph, flow: FlowAssignment) -> bool:
             tail = b
         else:
             raise GraphError(f"head of edge {eid} is not one of its endpoints")
-        if a == b:
-            continue  # a loop, once in and once out; or a free edge
-        if head is not DANGLING:
-            sums[head] = add[sums[head]][val]
-        if tail is not DANGLING:
-            sums[tail] = add[sums[tail]][neg[val]]
+        sums[head] = add[sums[head]][val]
+        sums[tail] = add[sums[tail]][neg[val]]
+    del sums[DANGLING]
     return not any(sums.values())
 
 

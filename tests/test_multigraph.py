@@ -180,7 +180,8 @@ def _seeded_multigraphs(seed: int, count: int) -> list[CubicGraph]:
 
 
 class TestOnePassSurgery:
-    """The one-pass removal and identification equal the rebuild oracles."""
+    """Removal and identification, which visit only the edges at the pair,
+    equal the rebuild oracles."""
 
     @pytest.fixture(scope="class")
     def cases(self, corpus_path):
