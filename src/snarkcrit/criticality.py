@@ -204,7 +204,7 @@ class DecisionTable:
 
     @cached_property
     def _walkable(self) -> bool:
-        """A walk reads each defect's three parent edges: a cubic parent with no loops."""
+        """A walk reads each defect's three parent edges: a cubic parent, no loops, no stubs."""
         graph = self.graph
         return (
             graph.is_cubic
@@ -303,10 +303,8 @@ class DecisionTable:
             witness = EdgeColoring(derived, values)
             return witness if witness.is_proper() else None
         if surgery == REMOVAL:
-            # a removal stores an edge whose tail was removed reversed
-            for eid, a, b in self.graph.incident_edges(u) + self.graph.incident_edges(v):
-                if eid in values and (a == u or a == v):
-                    values[eid] = Z4.neg_table[values[eid]]
+            for eid in self._reversed_by_removal(u, v):
+                values[eid] = Z4.neg_table[values[eid]]
         orientation = dict(zip(ids, map(_HEAD, derived.edges)))
         flow = FlowAssignment(derived, Z4, orientation, values)
         if flow.is_nowhere_zero() and verify_kirchhoff(derived, flow):
@@ -384,16 +382,21 @@ class DecisionTable:
         else:
             lifted = values
             if surgery == REMOVAL:
-                neg = Z4.neg_table
-                lifted = {
-                    eid: values[eid] if a != u and a != v else neg[values[eid]]
-                    for eid, a, _ in graph.edges
-                    if eid in values
-                }
+                lifted = dict(values)
+                for eid in self._reversed_by_removal(u, v):
+                    lifted[eid] = Z4.neg_table[lifted[eid]]
             choices = Z4.nonzero()
         if not joining:
             return [lifted]
         return [{**lifted, **dict.fromkeys(joining, c)} for c in choices]
+
+    def _reversed_by_removal(self, u: int, v: int) -> list[int]:
+        """The edges that the removal of (u, v) stores reversed: tail in the pair, head not."""
+        return [
+            eid
+            for eid, a, b in self.graph.incident_edges(u) + self.graph.incident_edges(v)
+            if (a == u or a == v) and b != u and b != v
+        ]
 
 
 def _snark_table(graph: CubicGraph, table: Optional[DecisionTable]) -> DecisionTable:

@@ -13,11 +13,11 @@ from snarkcrit.criticality import DecisionTable
 
 
 def deny_decision(
-    monkeypatch, key: tuple, where_graph: Optional[Callable] = None
+    monkeypatch, key: tuple, only_on: Optional[Callable] = None
 ) -> None:
     """Make ``decide`` record False and return no witness for ``key``.
 
-    ``where_graph``, when given, limits the fault to the parent graphs it
+    ``only_on``, when given, limits the fault to the parent graphs it
     accepts.  The real decision runs first, so everything else it records
     stays as it was.
     """
@@ -27,7 +27,7 @@ def deny_decision(
         witness = real(self, surgery, where, solver)
         if (surgery, where, solver) != key:
             return witness
-        if where_graph is not None and not where_graph(self.graph):
+        if only_on is not None and not only_on(self.graph):
             return witness
         self.verdicts[key] = False
         return None

@@ -529,7 +529,7 @@ class TestReproduce:
         deny_decision(
             monkeypatch,
             (IDENTIFICATION, VertexPair(0, 2), FLOW),
-            where_graph=lambda graph: graph.order == 10,
+            only_on=lambda graph: graph.order == 10,
         )
         assert main(["--input", str(path), "--command", "verify-local"]) == EXIT_VIOLATION
         out, err = capsys.readouterr()
