@@ -30,14 +30,7 @@ from .criticality import (
     verify_classifier_coincidence,
     verify_local_equivalence,
 )
-from .flows import (
-    KLEIN,
-    Z4,
-    FlowAssignment,
-    FlowGroup,
-    nowhere_zero_flow,
-    verify_kirchhoff,
-)
+from .flows import FlowAssignment, nowhere_zero_flow, verify_kirchhoff
 from .graph_io import (
     CorpusEntry,
     Graph6EncodeError,

@@ -38,6 +38,7 @@ from .criticality import (
     ClassificationRecord,
     DecisionTable,
     EquivalenceViolationError,
+    _bool,
     classify,
     snark_status,
     strong_certificate,
@@ -96,10 +97,6 @@ class Result:
     pairs: int = 0  # verify-local: vertex pairs checked
     error: Optional[str] = None  # the message of a raised violation
     graph6: Optional[str] = None  # the input line, for an --input graph
-
-
-def _bool(x) -> str:
-    return "true" if x else "false"
 
 
 def evaluate(command: str, index: int, graph: CubicGraph) -> Result:

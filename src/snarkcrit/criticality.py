@@ -64,7 +64,7 @@ from typing import Optional, Union
 
 from . import coloring, flows
 from .coloring import KLEIN_COLORS, EdgeColoring, three_edge_colorable
-from .flows import Z4, FlowAssignment, nowhere_zero_flow, verify_kirchhoff
+from .flows import FlowAssignment, nowhere_zero_flow, verify_kirchhoff
 from .multigraph import (
     DANGLING,
     CubicGraph,
@@ -115,7 +115,7 @@ def snark_status(graph: CubicGraph) -> SnarkStatus:
     if not graph.is_cubic:
         return SnarkStatus(False, "not cubic")
     colorable = three_edge_colorable(graph) is not None
-    has_flow = nowhere_zero_flow(graph, Z4) is not None
+    has_flow = nowhere_zero_flow(graph) is not None
     if colorable != has_flow:
         raise EquivalenceViolationError(
             f"3-edge-colorable={colorable} but Z4 flow present={has_flow} "
@@ -145,7 +145,6 @@ FLOW = "flow"
 Witness = Union[EdgeColoring, FlowAssignment]
 
 _ID = itemgetter(0)
-_HEAD = itemgetter(2)
 
 # the pair routes whose witnesses are walked to neighbouring pairs
 _WALKED = ((REMOVAL, COLORING), (REMOVAL, FLOW), (IDENTIFICATION, FLOW))
@@ -167,23 +166,24 @@ class DecisionTable:
     Witnesses are returned to the caller, never stored.
 
     A witness on a pair route is walked to neighbouring pairs.  Lifted to
-    every edge of the parent, it is proper (for a coloring) or balanced
-    (for a flow) at every vertex but the pair's two, where its defects are:
-    the color sum, or the net outflow, which is the same nonzero value at
-    both ends of the pair, up to sign.  At a defect d, changing the value
-    of one edge dw makes d proper and moves the defect to w: a coloring
-    recolors dw with the sum of the two other colors at d, which must
-    differ; a flow adds or subtracts d's net outflow on dw, which must not
-    become 0.  The result is a candidate witness for the pair of the other
-    defect and w, of the same surgery and solver.  This is the parity
-    argument of the snark literature (Nedela and Skoviera, J. Graph Theory
-    1996).  ``decide`` settles a key by its candidate only after the
+    every edge of the parent (a flow with no sign change, since every
+    surgery keeps each surviving edge's slots), it is proper (for a
+    coloring) or balanced (for a flow) at every vertex but the pair's two,
+    where its defects are: the color sum, or the net outflow, which is the
+    same nonzero value at both ends of the pair, up to sign.  At a defect d,
+    changing the value of one edge dw makes d proper and moves the defect to
+    w: a coloring recolors dw with the sum of the two other colors at d,
+    which must differ; a flow adds or subtracts d's net outflow on dw, which
+    must not become 0.  The result is a candidate witness for the pair of
+    the other defect and w, of the same surgery and solver.  This is the
+    parity argument of the snark literature (Nedela and Skoviera, J. Graph
+    Theory 1996).  ``decide`` settles a key by its candidate only after the
     candidate passed the check of the key's own derived graph
     (:meth:`EdgeColoring.is_proper`, or :func:`verify_kirchhoff` and
     :meth:`FlowAssignment.is_nowhere_zero`), as a certifying algorithm does
     (McConnell, Mehlhorn, Naher and Schweitzer, Comput. Sci. Rev. 2011).
-    A rejected candidate, and every key without one, goes to the solver,
-    so every negative verdict is a solver's.
+    A rejected candidate, and every key without one, goes to the solver, so
+    every negative verdict is a solver's.
     """
 
     def __init__(self, graph: CubicGraph, status: Optional[SnarkStatus] = None):
@@ -246,7 +246,7 @@ class DecisionTable:
             if solver == COLORING:
                 witness = coloring.three_edge_colorable(derived, hint=hint)
             else:
-                witness = flows.nowhere_zero_flow(derived, Z4, hint=hint)
+                witness = flows.nowhere_zero_flow(derived, hint=hint)
         self.verdicts[key] = witness is not None
         if witness is not None:
             values = witness.assignment if solver == COLORING else witness.values
@@ -292,21 +292,16 @@ class DecisionTable:
         """The key's candidate as a witness on ``derived``, if it passes the check."""
         global witness_checks
         witness_checks += 1
-        surgery, (u, v), solver = key
         lifted, moves = candidate
         ids = tuple(map(_ID, derived.edges))
         values = dict(zip(ids, map(lifted.__getitem__, ids)))
         for eid, x in moves:
             if eid in values:
                 values[eid] = x
-        if solver == COLORING:
+        if key[2] == COLORING:
             witness = EdgeColoring(derived, values)
             return witness if witness.is_proper() else None
-        if surgery == REMOVAL:
-            for eid in self._reversed_by_removal(u, v):
-                values[eid] = Z4.neg_table[values[eid]]
-        orientation = dict(zip(ids, map(_HEAD, derived.edges)))
-        flow = FlowAssignment(derived, Z4, orientation, values)
+        flow = FlowAssignment(derived, values)
         if flow.is_nowhere_zero() and verify_kirchhoff(derived, flow):
             return flow
         return None
@@ -324,7 +319,7 @@ class DecisionTable:
         verdicts = self.verdicts
         candidates = self._candidates
         u, v = where
-        queue = [(u, v, lifted, ()) for lifted in self._lifted(surgery, solver, u, v, values)]
+        queue = [(u, v, lifted, ()) for lifted in self._lifted(solver, u, v, values)]
         for u, v, lifted, moves in queue:
             changed = dict(moves)
             for d, other in ((v, u), (u, v)):
@@ -357,14 +352,11 @@ class DecisionTable:
                     candidates[(surgery, VertexPair(*pair), solver)] = (lifted, step)
                     queue.append((other, w, lifted, step))
 
-    def _lifted(
-        self, surgery: str, solver: str, u: int, v: int, values
-    ) -> list[dict[int, int]]:
+    def _lifted(self, solver: str, u: int, v: int, values) -> list[dict[int, int]]:
         """The witness ``values`` of the pair (u, v), read on every parent edge.
 
-        A flow is read in the parent's orientation: an identification keeps
-        every edge and its orientation, and a removal stores an edge whose
-        tail was removed reversed.  The derived graph either drops the edges
+        Surgery keeps every surviving edge's slots, so a flow reads on the
+        parent with no sign change.  The derived graph either drops the edges
         joining u and v or makes them loops, so their values are free, and
         there is one lift per choice: each nonzero value, or each color of a
         single joining edge that keeps the defects nonzero.  Two parallel
@@ -372,31 +364,16 @@ class DecisionTable:
         """
         graph = self.graph
         joining = graph.connecting_edges(u, v)
+        if not joining:
+            return [values]
         if solver == COLORING:
             if len(joining) > 1:
                 return []
-            lifted = values
-            if joining:
-                a1, a2 = (values[e.id] for e in graph.incident_edges(u) if e.id != joining[0])
-                choices = [c for c in KLEIN_COLORS if c != a1 ^ a2]
+            a1, a2 = (values[e.id] for e in graph.incident_edges(u) if e.id != joining[0])
+            choices = [c for c in KLEIN_COLORS if c != a1 ^ a2]
         else:
-            lifted = values
-            if surgery == REMOVAL:
-                lifted = dict(values)
-                for eid in self._reversed_by_removal(u, v):
-                    lifted[eid] = Z4.neg_table[lifted[eid]]
-            choices = Z4.nonzero()
-        if not joining:
-            return [lifted]
-        return [{**lifted, **dict.fromkeys(joining, c)} for c in choices]
-
-    def _reversed_by_removal(self, u: int, v: int) -> list[int]:
-        """The edges that the removal of (u, v) stores reversed: tail in the pair, head not."""
-        return [
-            eid
-            for eid, a, b in self.graph.incident_edges(u) + self.graph.incident_edges(v)
-            if (a == u or a == v) and b != u and b != v
-        ]
+            choices = (1, 2, 3)
+        return [{**values, **dict.fromkeys(joining, c)} for c in choices]
 
 
 def _snark_table(graph: CubicGraph, table: Optional[DecisionTable]) -> DecisionTable:

@@ -8,7 +8,11 @@ carry colors and flow values across the boundary of a removed vertex pair.
 Every operation is a pure function: inputs are never mutated, results are
 freshly built graphs.  Vertex and edge ids are small integers; surgery
 preserves the ids of surviving edges and allocates fresh ids for edges it
-creates, so witnesses computed on a derived graph can be traced back.
+creates, so witnesses computed on a derived graph can be traced back.  It
+also keeps each surviving edge's slots: a removed endpoint becomes
+DANGLING in its own slot, and a merged or expanded vertex takes the slot
+of the one it replaces.  A flow, read from slot a to slot b, so keeps its
+sign from a derived graph to its parent.
 """
 
 from __future__ import annotations
@@ -239,18 +243,12 @@ class CubicGraph:
 # construction
 
 
-def _normalize_slots(a: Endpoint, b: Endpoint) -> tuple[Endpoint, Endpoint]:
-    # dangling edges are stored with the attached vertex in slot a
-    if a is DANGLING and b is not DANGLING:
-        return b, a
-    return a, b
-
-
 def build_graph(vertex_count: int, edge_list: Iterable[tuple[Endpoint, Endpoint]]) -> CubicGraph:
     """Build an immutable graph on vertices ``0 .. vertex_count - 1``.
 
     Each entry of ``edge_list`` is a pair of endpoints, where an endpoint is
-    a vertex id or :data:`DANGLING`.  Equal endpoints denote a loop.
+    a vertex id or :data:`DANGLING`, kept in the slots given.  Equal
+    endpoints denote a loop.
     """
     if vertex_count < 0:
         raise GraphError("vertex count must be nonnegative")
@@ -261,7 +259,7 @@ def build_graph(vertex_count: int, edge_list: Iterable[tuple[Endpoint, Endpoint]
                 continue
             if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < vertex_count:
                 raise GraphError(f"endpoint {x!r} is not a vertex below {vertex_count}")
-    edges = tuple(Edge(i, *_normalize_slots(a, b)) for i, (a, b) in enumerate(pairs))
+    edges = tuple(Edge(i, a, b) for i, (a, b) in enumerate(pairs))
     return CubicGraph(frozenset(range(vertex_count)), edges)
 
 
@@ -276,12 +274,13 @@ def _rebuild(vertices: Iterable[int], edges: Iterable[Edge]) -> CubicGraph:
 def remove_vertex_pair(graph: CubicGraph, pair: VertexPair) -> CubicGraph:
     """Remove two vertices but keep the severed edges as dangling edges.
 
-    Edges with exactly one endpoint at the pair become dangling; edges with
-    both endpoints inside the pair (loops there, and any edge joining the
-    two vertices) are deleted outright, since they would keep no
-    attachment.  An edge that was already dangling and attached at the pair
-    degenerates into a free edge.  Only the edges at the pair are visited,
-    in a copy of the edge tuple, which keeps their order.
+    Edges with exactly one endpoint at the pair become dangling, with
+    DANGLING in the removed endpoint's slot; edges with both endpoints
+    inside the pair (loops there, and any edge joining the two vertices)
+    are deleted outright, since they would keep no attachment.  An edge
+    that was already dangling and attached at the pair degenerates into a
+    free edge.  Only the edges at the pair are visited, in a copy of the
+    edge tuple, which keeps their order.
     """
     u, v = pair
     if u not in graph.vertices or v not in graph.vertices:
@@ -295,7 +294,7 @@ def remove_vertex_pair(graph: CubicGraph, pair: VertexPair) -> CubicGraph:
                 # a loop at the pair, or an edge joining it: no attachment left
                 deleted.add(position[eid])
                 continue
-            edges[position[eid]] = Edge(eid, b, DANGLING)  # b survives, or the edge is now free
+            edges[position[eid]] = Edge(eid, DANGLING, b)  # b survives, or the edge is now free
         else:
             edges[position[eid]] = Edge(eid, a, DANGLING)
     for i in sorted(deleted, reverse=True):
@@ -308,8 +307,7 @@ def identify_vertices(graph: CubicGraph, pair: VertexPair) -> CubicGraph:
 
     Parallel edges and loops are retained.  The merged vertex reuses the
     smaller of the two ids.  Only the edges at the other vertex are
-    visited, in a copy of the edge tuple, which keeps their order; with no
-    dangling edges, no edge needs its slots normalized.
+    visited, in a copy of the edge tuple, which keeps their order.
     """
     u, v = pair
     if u not in graph.vertices or v not in graph.vertices:
@@ -352,7 +350,9 @@ def suppress_edge(graph: CubicGraph, edge_id: int) -> CubicGraph:
     its two remaining neighbors; splicing may create parallel edges or
     loops, and the result is cubic again.  If an endpoint's two remaining
     incidences form a loop at that endpoint there is no sensible splice and
-    :class:`NonSuppressibleError` is raised.
+    :class:`NonSuppressibleError` is raised.  Only the edges at the two
+    endpoints are visited, in a copy of the edge tuple, which keeps their
+    order; the spliced edges come last.
     """
     e = graph.edge(edge_id)
     if not graph.is_cubic:
@@ -361,30 +361,35 @@ def suppress_edge(graph: CubicGraph, edge_id: int) -> CubicGraph:
         raise GraphError("suppression is defined for connected graphs only")
     if e.is_loop:
         raise GraphError(f"cannot suppress loop {edge_id}")
+    if e.is_dangling or e.is_free:
+        raise GraphError(f"cannot suppress dangling edge {edge_id}")
 
-    edges: dict[int, Edge] = {x.id: x for x in graph.edges}
-    del edges[edge_id]
-    vertices = set(graph.vertices)
+    dropped = {edge_id}
+    spliced: dict[int, Edge] = {}
     next_id = graph.max_edge_id() + 1
-
     for w in sorted((e.a, e.b)):
-        slots: list[tuple[int, Endpoint]] = []
-        for x in list(edges.values()):
-            if x.is_loop and x.a == w:
-                raise NonSuppressibleError(
-                    f"vertex {w} keeps only a loop after deleting edge {edge_id}"
-                )
-            if x.a == w or x.b == w:
-                slots.append((x.id, x.other_endpoint(w)))
-        if len(slots) != 2:
+        # the edges left at w, the splice at the first endpoint included
+        left = [x for x in graph._incidence[w] if x.id not in dropped]
+        left += [x for x in spliced.values() if x.a == w or x.b == w]
+        if any(x.is_loop for x in left):
+            raise NonSuppressibleError(
+                f"vertex {w} keeps only a loop after deleting edge {edge_id}"
+            )
+        if len(left) != 2:
             raise GraphError(f"vertex {w} does not have degree 2 after deletion")
-        (id1, n1), (id2, n2) = slots
-        del edges[id1], edges[id2]
-        vertices.remove(w)
-        edges[next_id] = Edge(next_id, *_normalize_slots(n1, n2))
+        for x in left:
+            dropped.add(x.id)
+            spliced.pop(x.id, None)
+        x, y = left
+        spliced[next_id] = Edge(next_id, x.other_endpoint(w), y.other_endpoint(w))
         next_id += 1
 
-    return _rebuild(vertices, edges.values())
+    edges = list(graph.edges)
+    position = graph._position
+    for i in sorted((position[x] for x in dropped if x in position), reverse=True):
+        del edges[i]
+    edges += spliced.values()
+    return CubicGraph(graph.vertices - {e.a, e.b}, tuple(edges))
 
 
 def expand_triangle(graph: CubicGraph, v: int) -> CubicGraph:
@@ -407,7 +412,7 @@ def expand_triangle(graph: CubicGraph, v: int) -> CubicGraph:
     for corner, e in zip(corners, incident):
         a = corner if e.a == v else e.a
         b = corner if e.b == v else e.b
-        replaced[e.id] = Edge(e.id, *_normalize_slots(a, b))
+        replaced[e.id] = Edge(e.id, a, b)
     new_edges = [replaced.get(e.id, e) for e in graph.edges]
     next_id = graph.max_edge_id() + 1
     for i, j in ((0, 1), (0, 2), (1, 2)):

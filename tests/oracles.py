@@ -5,8 +5,9 @@ enumeration (vectorized over full assignment tables, or naive backtracking
 without any of the production solver's ordering, forcing, or symmetry
 tricks).  Nothing imports the production decision procedures; the one
 production helper used is ``chordless_cycles``, which the cycle-pair oracle
-enumerates over.  The two surgery oracles are the earlier rebuild-and-sort
-versions of the one-pass production operations.
+enumerates over.  The three surgery oracles are the earlier rebuild-and-sort
+versions of the production operations, which visit only the edges at the
+surgery.
 """
 
 from __future__ import annotations
@@ -18,7 +19,14 @@ from typing import Optional, Union
 
 import numpy as np
 
-from snarkcrit.multigraph import DANGLING, CubicGraph, Edge, GraphError, VertexPair
+from snarkcrit.multigraph import (
+    DANGLING,
+    CubicGraph,
+    Edge,
+    GraphError,
+    NonSuppressibleError,
+    VertexPair,
+)
 from snarkcrit.structure import chordless_cycles
 
 _LOW_DIGITS = 10  # a chunk enumerates the 3**10 settings of the first ten positions
@@ -59,15 +67,11 @@ def _rebuild(vertices, edges) -> CubicGraph:
     return CubicGraph(frozenset(vertices), tuple(sorted(edges, key=lambda e: e.id)))
 
 
-def _normalize_slots(a, b):
-    # dangling edges are stored with the attached vertex in slot a
-    if a is DANGLING and b is not DANGLING:
-        return b, a
-    return a, b
-
-
 def remove_vertex_pair_by_rebuild(graph: CubicGraph, pair: VertexPair) -> CubicGraph:
-    """Vertex-pair removal, edge by edge from the endpoint counts, then re-sorted."""
+    """Vertex-pair removal, edge by edge from the endpoint counts, then re-sorted.
+
+    A removed endpoint becomes DANGLING in its own slot.
+    """
     u, v = pair
     if u not in graph.vertices or v not in graph.vertices:
         raise GraphError("both vertices of the pair must belong to the graph")
@@ -80,11 +84,7 @@ def remove_vertex_pair_by_rebuild(graph: CubicGraph, pair: VertexPair) -> CubicG
         elif inside == len(e.real_endpoints()) >= 2:
             continue  # loop at the pair, or an edge joining it: no attachment left
         else:
-            survivor = [x for x in (e.a, e.b) if x is not DANGLING and x not in gone]
-            if survivor:
-                new_edges.append(Edge(e.id, survivor[0], DANGLING))
-            else:
-                new_edges.append(Edge(e.id, DANGLING, DANGLING))
+            new_edges.append(Edge(e.id, *(DANGLING if x in gone else x for x in (e.a, e.b))))
     return _rebuild(graph.vertices - gone, new_edges)
 
 
@@ -100,8 +100,43 @@ def identify_vertices_by_rebuild(graph: CubicGraph, pair: VertexPair) -> CubicGr
     def remap(x):
         return merged if x in (u, v) else x
 
-    new_edges = [Edge(e.id, *_normalize_slots(remap(e.a), remap(e.b))) for e in graph.edges]
+    new_edges = [Edge(e.id, remap(e.a), remap(e.b)) for e in graph.edges]
     return _rebuild((graph.vertices - {u, v}) | {merged}, new_edges)
+
+
+def suppress_edge_by_rebuild(graph: CubicGraph, edge_id: int) -> CubicGraph:
+    """Edge suppression over a dict of every edge, scanned once per endpoint, then re-sorted."""
+    e = graph.edge(edge_id)
+    if not graph.is_cubic:
+        raise GraphError("suppression is defined for cubic graphs only")
+    if not graph.is_connected:
+        raise GraphError("suppression is defined for connected graphs only")
+    if e.is_loop:
+        raise GraphError(f"cannot suppress loop {edge_id}")
+
+    edges: dict[int, Edge] = {x.id: x for x in graph.edges}
+    del edges[edge_id]
+    vertices = set(graph.vertices)
+    next_id = graph.max_edge_id() + 1
+
+    for w in sorted((e.a, e.b)):
+        slots: list[tuple] = []
+        for x in list(edges.values()):
+            if x.is_loop and x.a == w:
+                raise NonSuppressibleError(
+                    f"vertex {w} keeps only a loop after deleting edge {edge_id}"
+                )
+            if x.a == w or x.b == w:
+                slots.append((x.id, x.other_endpoint(w)))
+        if len(slots) != 2:
+            raise GraphError(f"vertex {w} does not have degree 2 after deletion")
+        (id1, n1), (id2, n2) = slots
+        del edges[id1], edges[id2]
+        vertices.remove(w)
+        edges[next_id] = Edge(next_id, n1, n2)
+        next_id += 1
+
+    return _rebuild(vertices, edges.values())
 
 
 def colorable_by_full_enumeration(graph: CubicGraph) -> bool:

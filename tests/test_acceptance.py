@@ -22,7 +22,7 @@ from snarkcrit.criticality import (
     verify_classifier_coincidence,
     verify_local_equivalence,
 )
-from snarkcrit.flows import KLEIN, Z4, nowhere_zero_flow
+from snarkcrit.flows import nowhere_zero_flow
 from snarkcrit.graph_io import read_graph6_file
 from snarkcrit.multigraph import expand_triangle
 from oracles import (
@@ -31,6 +31,7 @@ from oracles import (
     flow_exists_by_enumeration,
 )
 from strategies import random_cubic_graphs
+from witness_maps import colors_cancel_at_cubic_vertices
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -163,22 +164,25 @@ def test_criterion_7_oracle_equivalence_on_random_cubic_graphs():
     )
     oracle_checked = 0
     for g in graphs:
-        colorable = three_edge_colorable(g) is not None
-        z4 = nowhere_zero_flow(g, Z4) is not None
-        klein = nowhere_zero_flow(g, KLEIN) is not None
-        assert colorable == z4 == klein, "presence routes disagree"
+        coloring = three_edge_colorable(g)
+        colorable = coloring is not None
+        z4 = nowhere_zero_flow(g) is not None
+        assert colorable == z4, "presence routes disagree"
+        if colorable:
+            assert colors_cancel_at_cubic_vertices(coloring), "coloring is not a Klein flow"
         assert colorable_by_backtracking(g) == colorable, "backtracking oracle"
         if len(g.edges) <= 12:
             oracle_checked += 1
             assert colorable_by_full_enumeration(g) == colorable
             assert flow_exists_by_enumeration(g, "Z4") == z4
-            assert flow_exists_by_enumeration(g, "Z2xZ2") == klein
+            assert flow_exists_by_enumeration(g, "Z2xZ2") == colorable
     elapsed = time.perf_counter() - started
     _report(
         7,
         elapsed < 600.0,
-        f"coloring = Z4 = Z2xZ2 on 1000 random bridgeless cubic graphs; "
-        f"full-enumeration oracle agreed on {oracle_checked} small ones, "
+        f"coloring = Z4 on 1000 random bridgeless cubic graphs, and every "
+        f"coloring found is a Z2xZ2 flow; full-enumeration oracle (coloring, "
+        f"Z4 and Z2xZ2) agreed on {oracle_checked} small ones, "
         f"plain backtracking oracle on all 1000, in {elapsed:.0f}s (< 600s)",
     )
 

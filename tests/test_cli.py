@@ -568,9 +568,9 @@ class TestRaisedViolations:
 
         real = criticality.nowhere_zero_flow
 
-        def flow_on_petersen(graph, group, *args, **kwargs):
+        def flow_on_petersen(graph, *args, **kwargs):
             # the routes of snark_status disagree on the order-10 input only
-            return {} if graph.order == 10 else real(graph, group, *args, **kwargs)
+            return {} if graph.order == 10 else real(graph, *args, **kwargs)
 
         monkeypatch.setattr(criticality, "nowhere_zero_flow", flow_on_petersen)
         path, lines = three

@@ -420,8 +420,8 @@ class TestDecisionTable:
 
         logged(criticality, "three_edge_colorable", lambda g: ("coloring", g))
         logged(coloring, "three_edge_colorable", lambda g: ("coloring", g))
-        logged(criticality, "nowhere_zero_flow", lambda g, group: ("flow", g))
-        logged(flows, "nowhere_zero_flow", lambda g, group: ("flow", g))
+        logged(criticality, "nowhere_zero_flow", lambda g: ("flow", g))
+        logged(flows, "nowhere_zero_flow", lambda g: ("flow", g))
         logged(EdgeColoring, "is_proper", lambda witness: ("coloring", witness.graph))
         logged(criticality, "verify_kirchhoff", lambda g, flow: ("flow", g))
         return calls

@@ -22,7 +22,11 @@ from snarkcrit.multigraph import (
     suppress_edge,
 )
 from isomorphism import are_isomorphic
-from oracles import identify_vertices_by_rebuild, remove_vertex_pair_by_rebuild
+from oracles import (
+    identify_vertices_by_rebuild,
+    remove_vertex_pair_by_rebuild,
+    suppress_edge_by_rebuild,
+)
 from snarkcrit.graph_io import read_graph6_file
 from strategies import multigraphs, random_cubic_multigraphs
 
@@ -62,10 +66,10 @@ class TestBuildGraph:
         with pytest.raises(GraphError):
             build_graph(1, [(0, -1)])
 
-    def test_dangling_normalized_to_first_slot(self):
-        g = build_graph(1, [(DANGLING, 0)])
-        assert g.edges[0].a == 0
-        assert g.edges[0].b is DANGLING
+    def test_dangling_slots_kept(self):
+        g = build_graph(2, [(DANGLING, 0), (1, DANGLING)])
+        assert g.edges[0].a is DANGLING and g.edges[0].b == 0
+        assert g.edges[1].a == 1 and g.edges[1].b is DANGLING
 
 
 class TestConstructor:
@@ -170,11 +174,12 @@ def _seeded_multigraphs(seed: int, count: int) -> list[CubicGraph]:
     out = []
     for g in random_cubic_multigraphs(count, (4, 6, 8, 10), seed=seed):
         out.append(g)
-        # sever a few edge ends: the attached side keeps slot a
+        # sever a few edge ends, in either slot
         severed = set(rng.sample(range(len(g.edges)), 3))
-        edges = [
-            (e.a, DANGLING) if e.id in severed else (e.a, e.b) for e in g.edges
-        ]
+        edges = [(e.a, e.b) for e in g.edges]
+        for i, eid in enumerate(sorted(severed)):
+            a, b = edges[eid]
+            edges[eid] = (a, DANGLING) if i % 2 else (DANGLING, b)
         out.append(build_graph(g.order, edges))
     return out
 
@@ -296,6 +301,39 @@ class TestSuppressEdge:
             out = suppress_edge(petersen_graph, eid)
             assert out.order == petersen_graph.order - 2
             assert len(out.edges) == len(petersen_graph.edges) - 3
+
+    def test_dangling_rejected(self, petersen_graph):
+        cut = remove_vertex_pair(petersen_graph, VertexPair(0, 2))
+        assert cut.is_cubic and cut.is_connected
+        stub = next(e.id for e in cut.edges if e.is_dangling)
+        with pytest.raises(GraphError, match="dangling"):
+            suppress_edge(cut, stub)
+
+    def test_matches_oracle(self, corpus_path, smoke_set):
+        """Every edge of the bundled snarks and of multigraphs with loops and
+        parallel edges gives the graph, or the error, of the rebuild oracle."""
+        graphs = [e.graph for e in read_graph6_file(corpus_path)]
+        graphs += smoke_set.values()
+        multigraphs = random_cubic_multigraphs(24, (4, 6, 8, 10), seed=78)
+        assert any(
+            len(g.connecting_edges(e.a, e.b)) > 1
+            for g in multigraphs
+            for e in g.edges
+            if not e.is_loop
+        )
+        for g in graphs + multigraphs:
+            for e in g.edges:
+                assert _outcome(suppress_edge, g, e.id) == _outcome(
+                    suppress_edge_by_rebuild, g, e.id
+                )
+
+
+def _outcome(suppress, graph, edge_id):
+    """The suppressed graph, or the type and message of the error raised."""
+    try:
+        return suppress(graph, edge_id)
+    except GraphError as exc:
+        return type(exc), str(exc)
 
 
 class TestExpandTriangle:

@@ -1,28 +1,33 @@
-"""Maps between witnesses that the tests use to check the solvers' outputs.
+"""Maps and checks on witnesses that the tests use to check the solvers' outputs.
 
-Each takes a valid witness to another valid witness: a coloring to the
-Klein flow it already is, a coloring to its image under a permutation of
-the colors, a flow to the same flow with one edge turned around.
+A coloring's colors must XOR to zero at each vertex of degree three, the
+Klein flow it already is; a permutation of the colors takes a coloring to
+a coloring, and turning one edge around, with its value negated, takes a
+flow to a flow.
 """
 
 from __future__ import annotations
 
 from snarkcrit.coloring import EdgeColoring, KleinColor
-from snarkcrit.flows import KLEIN, FlowAssignment
-from snarkcrit.multigraph import GraphError
+from snarkcrit.flows import FlowAssignment
+from snarkcrit.multigraph import DANGLING, CubicGraph, Edge, GraphError
 
 
-def coloring_as_flow(coloring: EdgeColoring) -> FlowAssignment:
-    """Reinterpret a proper coloring as a Z2 x Z2 flow on the same graph.
+def colors_cancel_at_cubic_vertices(coloring: EdgeColoring) -> bool:
+    """True iff the colors at every vertex of degree three XOR to zero.
 
-    The edge values are unchanged; orientation is immaterial because every
-    Klein element is self-inverse.  Conservation holds at every vertex of
-    degree three (the three distinct nonzero elements XOR to zero); at
-    vertices of lower degree it generally does not.
+    The three distinct nonzero elements of Z2 x Z2 sum to zero, so a proper
+    coloring is a Z2 x Z2 flow wherever a vertex has degree three; at
+    vertices of lower degree the sum generally does not vanish.
     """
-    orientation = {e.id: e.b for e in coloring.graph.edges if e.id in coloring.assignment}
-    values = {eid: int(c) for eid, c in coloring.assignment.items()}
-    return FlowAssignment(coloring.graph, KLEIN, orientation, values)
+    graph = coloring.graph
+    degrees = graph.degrees()
+    sums = dict.fromkeys(graph.vertices, 0)
+    for eid, a, b in graph.edges:
+        for x in (a, b):
+            if x is not DANGLING:
+                sums[x] ^= int(coloring.assignment[eid])
+    return all(not sums[v] for v, d in degrees.items() if d == 3)
 
 
 def permuted(coloring: EdgeColoring, mapping: dict[int, int]) -> EdgeColoring:
@@ -36,11 +41,9 @@ def permuted(coloring: EdgeColoring, mapping: dict[int, int]) -> EdgeColoring:
 
 
 def with_edge_reversed(flow: FlowAssignment, edge_id: int) -> FlowAssignment:
-    """Flip one edge's orientation and negate its value."""
-    e = flow.graph.edge(edge_id)
-    head = flow.orientation[edge_id]
-    orientation = dict(flow.orientation)
-    orientation[edge_id] = e.a if head == e.b else e.b
+    """Swap one edge's slots in a rebuilt graph and negate its value."""
+    graph = flow.graph
+    edges = tuple(Edge(e.id, e.b, e.a) if e.id == edge_id else e for e in graph.edges)
     values = dict(flow.values)
-    values[edge_id] = flow.group.neg(values[edge_id])
-    return FlowAssignment(flow.graph, flow.group, orientation, values)
+    values[edge_id] = -values[edge_id] % 4
+    return FlowAssignment(CubicGraph(graph.vertices, edges), values)
