@@ -7,7 +7,7 @@ independent decision routes, and verifies on concrete graphs that the
 routes coincide.
 """
 
-from .coloring import EdgeColoring, KleinColor, three_edge_colorable
+from .coloring import is_proper_coloring, three_edge_colorable
 from .criticality import (
     ClassificationRecord,
     CoincidenceCertificate,
@@ -30,7 +30,7 @@ from .criticality import (
     verify_classifier_coincidence,
     verify_local_equivalence,
 )
-from .flows import FlowAssignment, nowhere_zero_flow, verify_kirchhoff
+from .flows import nowhere_zero_flow, verify_kirchhoff
 from .graph_io import (
     CorpusEntry,
     Graph6EncodeError,

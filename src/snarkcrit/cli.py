@@ -55,6 +55,7 @@ from .graph_io import (
 from .multigraph import CubicGraph, GraphError
 
 COMMANDS = ("classify", "verify-local", "verify-coincidence", "verify-strong", "stats")
+FORMATS = ("csv", "jsonl")
 
 EXIT_OK = 0
 EXIT_UNREADABLE = 2
@@ -76,6 +77,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
+        if self.format not in FORMATS:
+            raise ValueError(f"unknown format {self.format!r}")
         if (self.input_path is None) == (self.named is None):
             raise ValueError("exactly one of input_path and named must be given")
         if self.jobs < 1:
@@ -188,9 +191,15 @@ def _results(config: RunConfig) -> tuple[Iterator[Result], int]:
         graph = make_named(config.named)
         kept = [graph] if fits(graph.order) else []
         return (evaluate(config.command, 1, g) for g in kept), 1 - len(kept)
-    entries = read_graph6_file(config.input_path)
-    items = [(e.line_number, e.graph6) for e in entries if fits(e.graph.order)]
-    return _run_pool(config, items), len(entries) - len(items)
+    # read in full before any evaluation, so every parse error comes first
+    items = []
+    skipped = 0
+    for e in read_graph6_file(config.input_path):
+        if fits(e.graph.order):
+            items.append((e.line_number, e.graph6))
+        else:
+            skipped += 1
+    return _run_pool(config, items), skipped
 
 
 def _run_pool(config: RunConfig, items: list[tuple[int, str]]) -> Iterator[Result]:
@@ -350,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--command", choices=COMMANDS, default="classify")
     parser.add_argument("--jobs", type=int, default=1, metavar="N")
-    parser.add_argument("--format", choices=("csv", "jsonl"), default="csv")
+    parser.add_argument("--format", choices=FORMATS, default="csv")
     parser.add_argument("--max-order", type=int, default=None, metavar="N")
     parser.add_argument("--fail-fast", action="store_true")
     parser.add_argument(

@@ -1,9 +1,10 @@
 """Proper 3-edge-coloring with colors from the nonzero Klein four-group.
 
-The three colors are the nonzero elements of Z2 x Z2 written as two-bit
-values 01, 10, 11.  They XOR to zero, so at a degree-3 vertex any two
-distinct colors force the third; the solver gets this propagation for free
-from per-vertex used-color bitmasks.  Degree-1 and degree-2 vertices (from
+The three colors are the nonzero elements of Z2 x Z2 written as the ints
+1, 2, 3 (two-bit values 01, 10, 11), and a coloring is a dict from edge id
+to color.  They XOR to zero, so at a degree-3 vertex any two distinct
+colors force the third; the solver gets this propagation for free from
+per-vertex used-color bitmasks.  Degree-1 and degree-2 vertices (from
 dangling edges or edge deletions) only impose pairwise distinctness.
 
 A call makes one pass over the graph's edges, which yields each vertex's
@@ -20,68 +21,48 @@ added to :data:`search_steps`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import IntEnum
 from typing import Mapping, Optional
 
 from .multigraph import DANGLING, CubicGraph, GraphError
 
-
-class KleinColor(IntEnum):
-    """Nonzero elements of Z2 x Z2; the XOR of all three is zero."""
-
-    C01 = 1
-    C10 = 2
-    C11 = 3
-
-
-KLEIN_COLORS = (KleinColor.C01, KleinColor.C10, KleinColor.C11)
 _BITS = {1: 2, 2: 4, 3: 8}  # a color's bit in a used-color mask
 
 #: Iterations of the search loop, summed over every call in this process.
 search_steps = 0
 
 
-@dataclass(frozen=True, eq=False)
-class EdgeColoring:
-    """A color for every non-loop edge of ``graph``, dangling edges included."""
+def is_proper_coloring(graph: CubicGraph, colors: Mapping[int, int]) -> bool:
+    """Check the defining constraints of ``colors`` directly against ``graph``.
 
-    graph: CubicGraph
-    assignment: dict[int, KleinColor]
-
-    def is_proper(self) -> bool:
-        """Check the defining constraints directly against the graph.
-
-        Proper means: every non-loop edge has a nonzero color, no loops
-        exist, and the colors meeting at any vertex are pairwise distinct.
-        One pass over the edges, with a used-color bitmask per vertex; a
-        loop meets itself at its vertex.  The assignment holds no other edge
-        when it colors every edge and has as many entries as there are edges.
-        """
-        assignment = self.assignment
-        used = dict.fromkeys(self.graph.vertices, 0)
-        try:
-            for eid, a, b in self.graph.edges:
-                bit = _BITS.get(assignment.get(eid))
-                if bit is None:
+    Proper means: every non-loop edge has a color in 1, 2, 3, no loops
+    exist, and the colors meeting at any vertex are pairwise distinct.  One
+    pass over the edges, with a used-color bitmask per vertex; a loop meets
+    itself at its vertex.  ``colors`` holds no other edge when it colors
+    every edge and has as many entries as there are edges.
+    """
+    used = dict.fromkeys(graph.vertices, 0)
+    try:
+        for eid, a, b in graph.edges:
+            bit = _BITS.get(colors.get(eid))
+            if bit is None:
+                return False
+            if a is not DANGLING:
+                if used[a] & bit:
                     return False
-                if a is not DANGLING:
-                    if used[a] & bit:
-                        return False
-                    used[a] |= bit
-                if b is not DANGLING:
-                    if used[b] & bit:
-                        return False
-                    used[b] |= bit
-        except TypeError:  # an unhashable color
-            return False
-        return len(assignment) == len(self.graph.edges)
+                used[a] |= bit
+            if b is not DANGLING:
+                if used[b] & bit:
+                    return False
+                used[b] |= bit
+    except TypeError:  # an unhashable color
+        return False
+    return len(colors) == len(graph.edges)
 
 
 def three_edge_colorable(
     graph: CubicGraph, *, hint: Optional[Mapping[int, int]] = None
-) -> Optional[EdgeColoring]:
-    """Find a proper 3-edge-coloring, or None if there is none.
+) -> Optional[dict[int, int]]:
+    """Find a proper 3-edge-coloring, edge id -> color in 1, 2, 3, or None.
 
     Vertices of degree above three are an input error, reported before a
     loop makes the answer None.  The search runs per component, visiting
@@ -95,12 +76,12 @@ def three_edge_colorable(
     # one pass over the edges: each vertex's incidences as (edge id, other
     # end), where a loop is listed twice, so their lengths are the degrees
     incident: dict[int, list] = {v: [] for v in graph.vertices}
-    assignment: dict[int, KleinColor] = {}
+    colors: dict[int, int] = {}
     has_loop = False
     for eid, a, b in graph.edges:
         if a is DANGLING:
             if b is DANGLING:
-                assignment[eid] = KleinColor.C01  # no vertex constrains a free edge
+                colors[eid] = 1  # no vertex constrains a free edge
                 continue
             a, b = b, a
         incident[a].append((eid, b))
@@ -129,9 +110,9 @@ def three_edge_colorable(
         if part is None:
             search_steps += steps
             return None
-        assignment.update(part)
+        colors.update(part)
     search_steps += steps
-    return EdgeColoring(graph, assignment)
+    return colors
 
 
 # ----------------------------------------------------------------------
@@ -218,7 +199,7 @@ def _color_component(
     pinned: int,
     used: list[int],
     hint: Optional[Mapping[int, int]],
-) -> tuple[Optional[dict[int, KleinColor]], int]:
+) -> tuple[Optional[dict[int, int]], int]:
     """Color one component's edges, or None; also the search loop's iteration count."""
     m = len(ids)
     # state[p] is edge p's state in _NEXT: its try order and the color it
@@ -258,5 +239,4 @@ def _color_component(
         bit = 1 << (state[pos] & 3)
         used[end_a[pos]] ^= bit
         used[end_b[pos]] ^= bit
-    colors = {eid: KLEIN_COLORS[(s & 3) - 1] for eid, s in zip(ids, state)}
-    return colors, 2 * back + m - pinned
+    return {eid: s & 3 for eid, s in zip(ids, state)}, 2 * back + m - pinned

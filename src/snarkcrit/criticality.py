@@ -5,9 +5,10 @@ equivalently no nowhere-zero 4-flow; both characterizations are computed
 here and must agree, a disagreement being an implementation bug rather
 than a property of the input.
 
-For a pair of distinct vertices the six local statements below are all
-decided by their own solver call; on a snark the defined ones must agree,
-which :func:`verify_local_equivalence` certifies pair by pair:
+For a pair of distinct vertices each of the six local statements below is
+decided on its own derived graph, by its own solver or by a witness checked
+on that graph; on a snark the defined ones must agree, which
+:func:`verify_local_equivalence` certifies pair by pair:
 
 * the graph minus both vertices (dangling edges kept) is 3-edge-colorable,
 * the same graph has a nowhere-zero 4-flow,
@@ -63,8 +64,8 @@ from operator import itemgetter
 from typing import Optional, Union
 
 from . import coloring, flows
-from .coloring import KLEIN_COLORS, EdgeColoring, three_edge_colorable
-from .flows import FlowAssignment, nowhere_zero_flow, verify_kirchhoff
+from .coloring import is_proper_coloring, three_edge_colorable
+from .flows import nowhere_zero_flow, verify_kirchhoff
 from .multigraph import (
     DANGLING,
     CubicGraph,
@@ -142,8 +143,6 @@ SUPPRESSION = "suppression"
 COLORING = "coloring"
 FLOW = "flow"
 
-Witness = Union[EdgeColoring, FlowAssignment]
-
 _ID = itemgetter(0)
 
 # the pair routes whose witnesses are walked to neighbouring pairs
@@ -159,11 +158,12 @@ class DecisionTable:
 
     A verdict is keyed by (surgery, pair or edge id, solver).  Besides the
     verdicts the table keeps the snark status of the parent; per (surgery,
-    solver), the assignment of the last witness found, which the next
-    solver call of that surgery and solver gets as its hint; the last
-    derived graph built, which the next decision at the same place reuses;
-    and at most one transported witness per undecided key of a pair route.
-    Witnesses are returned to the caller, never stored.
+    solver), the last witness found, which the next solver call of that
+    surgery and solver gets as its hint; the last derived graph built, which
+    the next decision at the same place reuses; and at most one transported
+    witness per undecided key of a pair route.  A witness is one nonzero
+    value per edge id: a color in 1, 2, 3, which are the nonzero elements of
+    Z2 x Z2 under XOR, or a Z4 value.
 
     A witness on a pair route is walked to neighbouring pairs.  Lifted to
     every edge of the parent (a flow with no sign change, since every
@@ -179,9 +179,9 @@ class DecisionTable:
     parity argument of the snark literature (Nedela and Skoviera, J. Graph
     Theory 1996).  ``decide`` settles a key by its candidate only after the
     candidate passed the check of the key's own derived graph
-    (:meth:`EdgeColoring.is_proper`, or :func:`verify_kirchhoff` and
-    :meth:`FlowAssignment.is_nowhere_zero`), as a certifying algorithm does
-    (McConnell, Mehlhorn, Naher and Schweitzer, Comput. Sci. Rev. 2011).
+    (:func:`is_proper_coloring`, or every value nonzero and
+    :func:`verify_kirchhoff`), as a certifying algorithm does (McConnell,
+    Mehlhorn, Naher and Schweitzer, Comput. Sci. Rev. 2011).
     A rejected candidate, and every key without one, goes to the solver, so
     every negative verdict is a solver's.
     """
@@ -227,12 +227,14 @@ class DecisionTable:
         }
         return [VertexPair(u, v) for u, v in sorted(ends)]
 
-    def decide(self, surgery: str, where, solver: str) -> Optional[Witness]:
+    def decide(self, surgery: str, where, solver: str) -> Optional[dict[int, int]]:
         """Decide one derived graph, record the verdict, return the witness.
 
         ``where`` is a vertex pair for removal and identification, an edge
-        id otherwise.  The key's transported witness settles it if it passes
-        its check; otherwise ``solver`` runs.  Suppression raises
+        id otherwise.  The witness is a coloring or a flow of the derived
+        graph, edge id -> nonzero value, or None when there is none.  The
+        key's transported witness settles it if it passes its check;
+        otherwise ``solver`` runs.  Suppression raises
         :class:`NonSuppressibleError` where it is undefined.
         """
         key = (surgery, where, solver)
@@ -249,10 +251,9 @@ class DecisionTable:
                 witness = flows.nowhere_zero_flow(derived, hint=hint)
         self.verdicts[key] = witness is not None
         if witness is not None:
-            values = witness.assignment if solver == COLORING else witness.values
-            self._last[route] = values
+            self._last[route] = witness
             if solved and self._walkable and route in _WALKED:
-                self._walk(surgery, where, solver, values)
+                self._walk(surgery, where, solver, witness)
         return witness
 
     def verdict(self, surgery: str, where, solver: str) -> bool:
@@ -288,7 +289,9 @@ class DecisionTable:
         self._derived = ((surgery, where), derived)
         return derived
 
-    def _transported(self, key: tuple, derived: CubicGraph, candidate: tuple) -> Optional[Witness]:
+    def _transported(
+        self, key: tuple, derived: CubicGraph, candidate: tuple
+    ) -> Optional[dict[int, int]]:
         """The key's candidate as a witness on ``derived``, if it passes the check."""
         global witness_checks
         witness_checks += 1
@@ -299,12 +302,10 @@ class DecisionTable:
             if eid in values:
                 values[eid] = x
         if key[2] == COLORING:
-            witness = EdgeColoring(derived, values)
-            return witness if witness.is_proper() else None
-        flow = FlowAssignment(derived, values)
-        if flow.is_nowhere_zero() and verify_kirchhoff(derived, flow):
-            return flow
-        return None
+            ok = is_proper_coloring(derived, values)
+        else:
+            ok = all(values.values()) and verify_kirchhoff(derived, values)
+        return values if ok else None
 
     def _walk(self, surgery: str, where: VertexPair, solver: str, values) -> None:
         """Store a candidate for every pair that defect moves reach from ``where``.
@@ -338,7 +339,7 @@ class DecisionTable:
                     if w == other:
                         continue
                     if solver == COLORING:
-                        new = KLEIN_COLORS[(x ^ s) - 1] if x != s else None
+                        new = x ^ s
                     else:
                         new = (x - s if a == d else x + s) % 4
                     if not new:
@@ -370,7 +371,7 @@ class DecisionTable:
             if len(joining) > 1:
                 return []
             a1, a2 = (values[e.id] for e in graph.incident_edges(u) if e.id != joining[0])
-            choices = [c for c in KLEIN_COLORS if c != a1 ^ a2]
+            choices = [c for c in (1, 2, 3) if c != a1 ^ a2]
         else:
             choices = (1, 2, 3)
         return [{**values, **dict.fromkeys(joining, c)} for c in choices]
@@ -403,7 +404,6 @@ class PairReport:
     """
 
     pair: VertexPair
-    adjacent: bool
     degenerate: bool
     values: tuple[tuple[str, bool], ...]
 
@@ -457,7 +457,6 @@ def _pair_report(table: DecisionTable, pair: VertexPair) -> PairReport:
         values.append(("colorable_after_suppression", all(suppression)))
     return PairReport(
         pair=pair,
-        adjacent=bool(connecting),
         degenerate=bool(graph.loops_at(u) or graph.loops_at(v) or len(connecting) > 1),
         values=tuple(values),
     )

@@ -1,15 +1,16 @@
 """Nowhere-zero Z4 flows on multigraphs.
 
-A flow is one nonzero value of Z4 per edge, carried from the edge's slot a
-to its slot b, such that conservation holds at each vertex: the sum of
-incoming values equals the sum of outgoing ones.  A loop contributes once
-in and once out, hence nothing; a dangling edge contributes only at its
-attached vertex, whichever slot that is.  Surgery keeps each surviving
-edge's slots, so a flow on a derived graph reads on its parent's edges
-with no sign change.  By Tutte's theorem the number of nowhere-zero flows
-depends only on the order of the group (Tutte, Canad. J. Math. 1954), so
-Z4 stands for every group of order four; the coloring route's colors are
-the nonzero elements of the other one, Z2 x Z2.
+A flow is one nonzero value of Z4 per edge, a dict from edge id to 1, 2
+or 3, carried from the edge's slot a to its slot b, such that conservation
+holds at each vertex: the sum of incoming values equals the sum of
+outgoing ones.  A loop contributes once in and once out, hence nothing; a
+dangling edge contributes only at its attached vertex, whichever slot that
+is.  Surgery keeps each surviving edge's slots, so a flow on a derived
+graph reads on its parent's edges with no sign change.  By Tutte's
+theorem the number of nowhere-zero flows depends only on the order of the
+group (Tutte, Canad. J. Math. 1954), so Z4 stands for every group of order
+four; the coloring route's colors are the nonzero elements of the other
+one, Z2 x Z2.
 
 A call makes one pass over the graph's edges, which yields the values of
 loops and free edges and each vertex's incidence list, and then searches
@@ -45,7 +46,6 @@ The number of search-loop iterations is added to :data:`search_steps`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .multigraph import DANGLING, CubicGraph, GraphError
@@ -79,28 +79,16 @@ _TRIES = (
 search_steps = 0
 
 
-@dataclass(frozen=True, eq=False)
-class FlowAssignment:
-    """A Z4 value per edge of ``graph``, carried from its slot a to its slot b."""
+def verify_kirchhoff(graph: CubicGraph, values: Mapping[int, int]) -> bool:
+    """True iff ``values`` (edge id -> Z4 value) conserve at every vertex of ``graph``.
 
-    graph: CubicGraph
-    values: dict[int, int]
-
-    def is_nowhere_zero(self) -> bool:
-        return all(v != 0 for v in self.values.values())
-
-
-def verify_kirchhoff(graph: CubicGraph, flow: FlowAssignment) -> bool:
-    """True iff conservation holds at every vertex of ``graph``.
-
-    The flow must give every edge a value in Z4; anything missing or out of
-    range is an input error.  Only conservation is checked here, not the
-    nowhere-zero condition.  One pass over the edges, which adds each value
-    at the edge's slot b and subtracts it at slot a; a loop does both at its
-    vertex, and the detached side of a dangling edge goes to a sink that is
-    not checked.
+    Every edge needs a value in Z4; anything missing or out of range is an
+    input error.  Only conservation is checked here, not the nowhere-zero
+    condition, which is ``all(values.values())``.  One pass over the edges,
+    which adds each value at the edge's slot b and subtracts it at slot a; a
+    loop does both at its vertex, and the detached side of a dangling edge
+    goes to a sink that is not checked.
     """
-    values = flow.values
     sums = dict.fromkeys(graph.vertices, 0)
     sums[DANGLING] = 0
     for eid, a, b in graph.edges:
@@ -118,8 +106,8 @@ def verify_kirchhoff(graph: CubicGraph, flow: FlowAssignment) -> bool:
 
 def nowhere_zero_flow(
     graph: CubicGraph, *, hint: Optional[Mapping[int, int]] = None
-) -> Optional[FlowAssignment]:
-    """Find a nowhere-zero Z4 flow, or None if there is none.
+) -> Optional[dict[int, int]]:
+    """Find a nowhere-zero Z4 flow, edge id -> value in 1, 2, 3, or None.
 
     Components are solved independently.  Loops and free edges take the
     value 1; dangling edges are free variables constrained only at their
@@ -157,7 +145,7 @@ def nowhere_zero_flow(
             return None
         values.update(part)
     search_steps += steps
-    return FlowAssignment(graph, values)
+    return values
 
 
 # ----------------------------------------------------------------------

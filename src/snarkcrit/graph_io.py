@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .criticality import ClassificationRecord, is_snark
 from .multigraph import CubicGraph, GraphError, build_graph
@@ -176,24 +176,25 @@ class CorpusEntry:
     graph: CubicGraph
 
 
-def read_graph6_file(path: Union[str, Path]) -> list[CorpusEntry]:
-    """Read a graph6 file, one graph per line; blank lines are skipped.
+def read_graph6_file(path: Union[str, Path]) -> Iterator[CorpusEntry]:
+    """Read a graph6 file lazily, one graph per line; blank lines are skipped.
 
-    The file is read as bytes, so a byte that is not ASCII is a parse
-    error at its offset, whatever the locale's encoding.
+    The entries come one at a time as the file is read, so the result is a
+    one-shot iterator: pass it to ``list`` to index it or read it twice.
+    The file is read as bytes, so a byte that is not ASCII is a parse error
+    at its offset, whatever the locale's encoding.
     """
-    entries = []
-    for line_number, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            graph = parse_graph6(line, line_number=line_number)
-        except Graph6ParseError as exc:
-            exc.line = line.decode("ascii", errors="backslashreplace")
-            raise
-        entries.append(CorpusEntry(line_number, line.decode("ascii"), graph))
-    return entries
+    with open(path, "rb") as lines:
+        for line_number, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                graph = parse_graph6(line, line_number=line_number)
+            except Graph6ParseError as exc:
+                exc.line = line.decode("ascii", errors="backslashreplace")
+                raise
+            yield CorpusEntry(line_number, line.decode("ascii"), graph)
 
 
 # ----------------------------------------------------------------------

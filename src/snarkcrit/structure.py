@@ -36,7 +36,6 @@ from .multigraph import DANGLING, CubicGraph, Edge, GraphError
 
 @dataclass(frozen=True)
 class StructureProfile:
-    connected: bool
     bridge_count: int
     girth: Union[int, float]  # math.inf for forests
     cyclic_edge_connectivity: Optional[int]  # None when undefined or not computed
@@ -54,7 +53,6 @@ def structure_profile(graph: CubicGraph) -> StructureProfile:
     if graph.is_cubic and graph.is_connected and not graph.has_dangling:
         cec = cyclic_edge_connectivity(graph, labels=labels)
     return StructureProfile(
-        connected=graph.is_connected,
         bridge_count=len(find_bridges(graph, labels=labels)),
         girth=girth(graph),
         cyclic_edge_connectivity=cec,

@@ -242,6 +242,21 @@ def flow_exists_by_enumeration(graph: CubicGraph, group: str) -> bool:
     return False
 
 
+def colors_cancel_at_cubic_vertices(graph: CubicGraph, colors: dict[int, int]) -> bool:
+    """True iff the colors at every vertex of degree three XOR to zero.
+
+    The three distinct nonzero elements of Z2 x Z2 sum to zero, so a proper
+    coloring is a Z2 x Z2 flow wherever a vertex has degree three; at
+    vertices of lower degree the sum generally does not vanish.
+    """
+    sums = dict.fromkeys(graph.vertices, 0)
+    for eid, a, b in graph.edges:
+        for x in (a, b):
+            if x is not DANGLING:
+                sums[x] ^= colors[eid]
+    return all(not sums[v] for v, d in graph.degrees().items() if d == 3)
+
+
 def girth_by_cycle_enumeration(graph: CubicGraph):
     """Smallest cycle length by enumerating simple cycles from each vertex."""
     best = math.inf

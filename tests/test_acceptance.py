@@ -28,10 +28,10 @@ from snarkcrit.multigraph import expand_triangle
 from oracles import (
     colorable_by_backtracking,
     colorable_by_full_enumeration,
+    colors_cancel_at_cubic_vertices,
     flow_exists_by_enumeration,
 )
 from strategies import random_cubic_graphs
-from witness_maps import colors_cancel_at_cubic_vertices
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -43,7 +43,7 @@ def _report(number: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def corpus(corpus_path):
-    return read_graph6_file(corpus_path)
+    return list(read_graph6_file(corpus_path))
 
 
 @pytest.fixture(scope="module")
@@ -169,7 +169,7 @@ def test_criterion_7_oracle_equivalence_on_random_cubic_graphs():
         z4 = nowhere_zero_flow(g) is not None
         assert colorable == z4, "presence routes disagree"
         if colorable:
-            assert colors_cancel_at_cubic_vertices(coloring), "coloring is not a Klein flow"
+            assert colors_cancel_at_cubic_vertices(g, coloring), "coloring is not a Klein flow"
         assert colorable_by_backtracking(g) == colorable, "backtracking oracle"
         if len(g.edges) <= 12:
             oracle_checked += 1

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -53,6 +54,12 @@ class TestConfig:
     def test_rejects_bad_jobs(self):
         with pytest.raises(ValueError):
             RunConfig(command="classify", named="petersen", jobs=0)
+
+    @pytest.mark.parametrize("command", ["classify", "stats"])
+    def test_rejects_unknown_format(self, command):
+        # before any graph is evaluated, for stats too, which never serializes
+        with pytest.raises(ValueError, match="unknown format 'xml'"):
+            RunConfig(command=command, named="petersen", format="xml")
 
 
 class TestClassify:
@@ -114,6 +121,23 @@ class TestClassify:
         assert code == EXIT_OK
         assert sorted(seen_orders) == [10, 18, 18]
         assert "skipped_over_max_order: 5" in out
+
+    def test_skipped_graphs_are_not_kept(self, tmp_path):
+        # the corpus is read one graph at a time and a graph over the limit
+        # is dropped at once, so memory does not grow with the skipped ones
+        path = tmp_path / "petersens.g6"
+        path.write_text((encode_graph6(petersen()) + "\n") * 2000)
+        config = RunConfig(command="stats", input_path=str(path), max_order=9)
+        out = io.StringIO()
+        tracemalloc.start()
+        try:
+            code = run(config, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert "skipped_over_max_order: 2000" in out.getvalue()
+        assert peak < 1 << 20
 
 
 class TestDeterminism:

@@ -5,12 +5,15 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings
 
-from snarkcrit.coloring import KleinColor, three_edge_colorable
+from snarkcrit.coloring import is_proper_coloring, three_edge_colorable
 from snarkcrit.graph_io import flower_snark
 from snarkcrit.multigraph import DANGLING, GraphError, VertexPair, build_graph, remove_vertex_pair
-from oracles import colorable_by_backtracking, colorable_by_full_enumeration
+from oracles import (
+    colorable_by_backtracking,
+    colorable_by_full_enumeration,
+    colors_cancel_at_cubic_vertices,
+)
 from strategies import multigraphs, random_cubic_graphs
-from witness_maps import colors_cancel_at_cubic_vertices, permuted
 
 
 class TestDecisions:
@@ -20,13 +23,13 @@ class TestDecisions:
 
     def test_k4_colorable(self, k4):
         c = three_edge_colorable(k4)
-        assert c is not None and c.is_proper()
+        assert c is not None and is_proper_coloring(k4, c)
         # three perfect matchings: each color covers every vertex once
         for color in (1, 2, 3):
             covered = [
                 v
                 for e in k4.edges
-                if c.assignment[e.id] == color
+                if c[e.id] == color
                 for v in e.real_endpoints()
             ]
             assert sorted(covered) == [0, 1, 2, 3]
@@ -42,12 +45,12 @@ class TestDecisions:
             cut = remove_vertex_pair(petersen_graph, pair)
             assert colorable_by_backtracking(cut) is True
             c = three_edge_colorable(cut)
-            assert c is not None and c.is_proper()
+            assert c is not None and is_proper_coloring(cut, c)
 
     def test_theta_colorable(self, theta_graph):
         c = three_edge_colorable(theta_graph)
         assert c is not None
-        assert sorted(c.assignment.values()) == [1, 2, 3]
+        assert sorted(c.values()) == [1, 2, 3]
         assert three_edge_colorable(theta_graph) is not None
 
     def test_loops_uncolorable(self, dumbbell_graph):
@@ -62,13 +65,14 @@ class TestDecisions:
 
     def test_empty_graph_colorable(self):
         c = three_edge_colorable(build_graph(0, []))
-        assert c is not None and c.assignment == {}
+        assert c == {}
 
     def test_free_edge_colored(self):
         g = build_graph(2, [(0, 1), (0, DANGLING), (DANGLING, DANGLING)])
         c = three_edge_colorable(g)
         assert c is not None
-        assert set(c.assignment) == {0, 1, 2}
+        assert set(c) == {0, 1, 2} and c[2] == 1  # a free edge gets 1
+        assert is_proper_coloring(g, c)
 
     def test_components_solved_independently(self, k4):
         two_k4 = build_graph(
@@ -77,26 +81,48 @@ class TestDecisions:
              (4, 5), (4, 6), (4, 7), (5, 6), (5, 7), (6, 7)],
         )
         c = three_edge_colorable(two_k4)
-        assert c is not None and c.is_proper()
+        assert c is not None and is_proper_coloring(two_k4, c)
+
+
+class TestIsProperColoring:
+    # the theta graph's three edges all join vertices 0 and 1
+
+    def test_proper(self, theta_graph):
+        assert is_proper_coloring(theta_graph, {0: 1, 1: 2, 2: 3})
+
+    def test_clash_rejected(self, theta_graph):
+        assert not is_proper_coloring(theta_graph, {0: 1, 1: 1, 2: 3})
+
+    def test_missing_zero_and_foreign_colors_rejected(self, theta_graph):
+        assert not is_proper_coloring(theta_graph, {0: 1, 1: 2})
+        assert not is_proper_coloring(theta_graph, {0: 1, 1: 2, 2: 0})
+        assert not is_proper_coloring(theta_graph, {0: 1, 1: 2, 2: 4})
+        assert not is_proper_coloring(theta_graph, {0: 1, 1: 2, 2: [3]})
+
+    def test_extra_edge_rejected(self, theta_graph):
+        assert not is_proper_coloring(theta_graph, {0: 1, 1: 2, 2: 3, 3: 1})
+
+    def test_loop_rejected(self):
+        assert not is_proper_coloring(build_graph(1, [(0, 0)]), {0: 1})
 
 
 class TestColoringAsFlow:
     def test_k4(self, k4):
         c = three_edge_colorable(k4)
-        assert c.is_proper()
-        assert colors_cancel_at_cubic_vertices(c)
+        assert is_proper_coloring(k4, c)
+        assert colors_cancel_at_cubic_vertices(k4, c)
 
     def test_theta(self, theta_graph):
-        assert colors_cancel_at_cubic_vertices(three_edge_colorable(theta_graph))
+        assert colors_cancel_at_cubic_vertices(theta_graph, three_edge_colorable(theta_graph))
 
     def test_petersen_minus_pair_dangling_values_cancel(self, petersen_graph):
         cut = remove_vertex_pair(petersen_graph, VertexPair(0, 1))
         c = three_edge_colorable(cut)
-        assert colors_cancel_at_cubic_vertices(c)
+        assert colors_cancel_at_cubic_vertices(cut, c)
         acc = 0
         for e in cut.edges:
             if e.is_dangling:
-                acc ^= c.assignment[e.id]
+                acc ^= c[e.id]
         assert acc == 0
 
 
@@ -107,7 +133,7 @@ class TestProperties:
         assert c is not None
         for perm in permutations((1, 2, 3)):
             mapping = {1: perm[0], 2: perm[1], 3: perm[2]}
-            assert permuted(c, mapping).is_proper()
+            assert is_proper_coloring(cut, {eid: mapping[x] for eid, x in c.items()})
 
     def test_returned_colorings_sum_to_zero_at_cubic_vertices(self):
         for g in random_cubic_graphs(10, (6, 8, 10), seed=20):
@@ -117,12 +143,8 @@ class TestProperties:
             for v in g.vertices:
                 acc = 0
                 for e in g.incident_edges(v):
-                    acc ^= c.assignment[e.id]
+                    acc ^= c[e.id]
                 assert acc == 0
-
-    def test_klein_colors(self):
-        assert KleinColor.C01 ^ KleinColor.C10 == KleinColor.C11
-        assert KleinColor.C01 ^ KleinColor.C10 ^ KleinColor.C11 == 0
 
     def test_forced_equal_colors_rejected(self):
         # a doubled edge forces both third edges onto the same color, and
@@ -154,4 +176,4 @@ def test_solver_agrees_on_random_cubic_graphs():
         smart = three_edge_colorable(g)
         assert (smart is not None) == colorable_by_full_enumeration(g)
         if smart is not None:
-            assert smart.is_proper()
+            assert is_proper_coloring(g, smart)

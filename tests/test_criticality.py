@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from snarkcrit import coloring, criticality, flows
-from snarkcrit.coloring import EdgeColoring
+from snarkcrit.coloring import is_proper_coloring
 from snarkcrit.criticality import (
     COLORING,
     FLOW,
@@ -40,6 +40,7 @@ from snarkcrit.multigraph import (
     VertexPair,
     build_graph,
     expand_triangle,
+    identify_vertices,
     remove_vertex_pair,
     suppress_edge,
 )
@@ -76,22 +77,25 @@ class TestPairStatus:
     def test_petersen_adjacent_all_six_true(self, petersen_graph):
         pair = VertexPair(0, 1)
         report = pair_status(petersen_graph, pair)
-        assert report.adjacent and not report.degenerate
+        assert petersen_graph.connecting_edges(0, 1) and not report.degenerate
         statements = report.statements()
         assert len(statements) == 6
         assert all(statements.values())
         assert report.consistent
         # the table's witnesses for the same pair check out against their own graphs
         table = DecisionTable(petersen_graph)
-        assert table.decide(REMOVAL, pair, COLORING).is_proper()
-        removal_flow = table.decide(REMOVAL, pair, FLOW)
-        assert verify_kirchhoff(removal_flow.graph, removal_flow)
-        identification_flow = table.decide(IDENTIFICATION, pair, FLOW)
-        assert verify_kirchhoff(identification_flow.graph, identification_flow)
+        removal = remove_vertex_pair(petersen_graph, pair)
+        assert is_proper_coloring(removal, table.decide(REMOVAL, pair, COLORING))
+        for surgery, derived in (
+            (REMOVAL, removal),
+            (IDENTIFICATION, identify_vertices(petersen_graph, pair)),
+        ):
+            flow = table.decide(surgery, pair, FLOW)
+            assert all(flow.values()) and verify_kirchhoff(derived, flow)
 
     def test_petersen_non_adjacent_three_statements(self, petersen_graph):
         report = pair_status(petersen_graph, VertexPair(0, 2))
-        assert not report.adjacent
+        assert not petersen_graph.connecting_edges(0, 2)
         statements = report.statements()
         assert len(statements) == 3
         assert all(statements.values())
@@ -130,7 +134,7 @@ class TestPairStatus:
         assert is_snark(digon)
         table = DecisionTable(digon)
         report = pair_status(digon, VertexPair(10, 11), table=table)
-        assert report.adjacent and report.degenerate
+        assert report.degenerate
         assert len(digon.connecting_edges(10, 11)) == 2
         assert report.consistent
         assert not any(report.statements().values())
@@ -422,8 +426,8 @@ class TestDecisionTable:
         logged(coloring, "three_edge_colorable", lambda g: ("coloring", g))
         logged(criticality, "nowhere_zero_flow", lambda g: ("flow", g))
         logged(flows, "nowhere_zero_flow", lambda g: ("flow", g))
-        logged(EdgeColoring, "is_proper", lambda witness: ("coloring", witness.graph))
-        logged(criticality, "verify_kirchhoff", lambda g, flow: ("flow", g))
+        logged(criticality, "is_proper_coloring", lambda g, colors: ("coloring", g))
+        logged(criticality, "verify_kirchhoff", lambda g, values: ("flow", g))
         return calls
 
     @pytest.mark.parametrize("name", ["petersen", "flower5"])
@@ -534,15 +538,15 @@ class TestWitnessTransport:
         real = getattr(module, name)
 
         def logged(graph, *args, **kwargs):
-            solved.append(graph)
-            return real(graph, *args, **kwargs)
+            solved.append(real(graph, *args, **kwargs))
+            return solved[-1]
 
         monkeypatch.setattr(module, name, logged)
         checks = criticality.witness_checks
         witness = table.decide(*key)
         assert criticality.witness_checks == checks + 1
         assert len(solved) == 1  # the check failed, so the solver ran
-        assert witness is not None and witness.graph is solved[0]
+        assert witness is not None and witness is solved[0]
         assert table.verdicts[key] is DecisionTable(petersen_graph).verdict(*key) is True
 
     @pytest.mark.parametrize(

@@ -142,28 +142,30 @@ class TestEncodeGraph6:
 
 class TestCorpusFile:
     def test_read_corpus(self, corpus_path):
-        entries = read_graph6_file(corpus_path)
+        entries = list(read_graph6_file(corpus_path))
         assert len(entries) == 8
         assert [e.graph.order for e in entries] == [10, 18, 18, 20, 26, 26, 26, 28]
         assert entries[0].line_number == 1
         assert all(e.graph.is_cubic and e.graph.is_connected for e in entries)
 
     def test_first_entry_is_petersen(self, corpus_path):
-        entries = read_graph6_file(corpus_path)
-        assert are_isomorphic(entries[0].graph, petersen())
+        first = next(read_graph6_file(corpus_path))
+        assert are_isomorphic(first.graph, petersen())
 
     def test_parse_error_carries_line_number(self, tmp_path):
         bad = tmp_path / "bad.g6"
         bad.write_text(encode_graph6(petersen()) + "\n@@@broken\n")
+        entries = read_graph6_file(bad)
+        assert next(entries).line_number == 1  # lazily: line 1 comes before the error
         with pytest.raises(Graph6ParseError) as exc:
-            read_graph6_file(bad)
+            next(entries)
         assert exc.value.line_number == 2
 
     def test_byte_outside_utf8_is_a_parse_error(self, tmp_path):
         bad = tmp_path / "bad.g6"
         bad.write_bytes(b"A\xff\n")
         with pytest.raises(Graph6ParseError) as exc:
-            read_graph6_file(bad)
+            list(read_graph6_file(bad))
         assert (exc.value.line_number, exc.value.offset) == (1, 1)
         assert exc.value.line == "A\\xff"
 
