@@ -27,7 +27,6 @@ import argparse
 import shlex
 import sys
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from contextlib import closing
 from dataclasses import dataclass, replace
 from functools import partial
@@ -210,7 +209,9 @@ def _run_pool(config: RunConfig, items: list[tuple[int, str]]) -> Iterator[Resul
     cancel.  Only unfinished chunks count: when all but ``jobs`` of them
     have finished, the window is filled up again, even while a slow chunk
     at its head holds back the output, so the other workers keep busy.
-    Finished chunks wait for their turn in input order.
+    Finished chunks wait for their turn in input order.  The pool's module
+    is imported only here, so a run that starts no pool does not load
+    ``multiprocessing``.
     """
     if config.jobs == 1:
         yield from map(partial(_work, config.command), items)
@@ -219,6 +220,8 @@ def _run_pool(config: RunConfig, items: list[tuple[int, str]]) -> Iterator[Resul
     starts = range(0, len(items), size)
     if not starts:
         return
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
     # no more workers than chunks: a forked pool starts them all at the first submit
     jobs = min(config.jobs, len(starts))
     chunks = (items[i : i + size] for i in starts)

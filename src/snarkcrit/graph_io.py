@@ -10,9 +10,7 @@ packed into 6-bit chunks with zero padding.
 
 from __future__ import annotations
 
-import csv
 import io
-import json
 import math
 import re
 from dataclasses import dataclass, fields
@@ -343,6 +341,8 @@ def write_records(records: Iterable[ClassificationRecord], format: str = "csv") 
     """
     records = list(records)
     if format == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
@@ -350,6 +350,8 @@ def write_records(records: Iterable[ClassificationRecord], format: str = "csv") 
             writer.writerow([_cell(getattr(r, col)) for col in CSV_COLUMNS])
         return buf.getvalue().encode("utf-8")
     if format == "jsonl":
+        import json
+
         lines = []
         for r in records:
             obj = {col: _json_value(getattr(r, col)) for col in CSV_COLUMNS}

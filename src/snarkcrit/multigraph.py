@@ -147,17 +147,13 @@ class CubicGraph:
         return len(self.vertices)
 
     @cached_property
-    def _by_id(self) -> dict[int, Edge]:
-        return {e.id: e for e in self.edges}
-
-    @cached_property
     def _position(self) -> dict[int, int]:
         """Edge id -> index in ``edges``."""
         return {e.id: i for i, e in enumerate(self.edges)}
 
     def edge(self, edge_id: int) -> Edge:
         try:
-            return self._by_id[edge_id]
+            return self.edges[self._position[edge_id]]
         except KeyError:
             raise GraphError(f"no edge with id {edge_id}") from None
 
@@ -263,10 +259,6 @@ def build_graph(vertex_count: int, edge_list: Iterable[tuple[Endpoint, Endpoint]
     return CubicGraph(frozenset(range(vertex_count)), edges)
 
 
-def _rebuild(vertices: Iterable[int], edges: Iterable[Edge]) -> CubicGraph:
-    return CubicGraph(frozenset(vertices), tuple(sorted(edges, key=lambda e: e.id)))
-
-
 # ----------------------------------------------------------------------
 # surgery operations
 
@@ -325,7 +317,8 @@ def identify_vertices(graph: CubicGraph, pair: VertexPair) -> CubicGraph:
 def delete_edge(graph: CubicGraph, edge_id: int) -> CubicGraph:
     """Remove one edge; its endpoints simply lose a degree (no stubs)."""
     graph.edge(edge_id)
-    return _rebuild(graph.vertices, (e for e in graph.edges if e.id != edge_id))
+    i = graph._position[edge_id]
+    return CubicGraph(graph.vertices, graph.edges[:i] + graph.edges[i + 1 :])
 
 
 def contract_edge(graph: CubicGraph, edge_id: int) -> CubicGraph:
@@ -397,6 +390,8 @@ def expand_triangle(graph: CubicGraph, v: int) -> CubicGraph:
 
     Each new vertex inherits one former incidence of ``v``; three fresh
     edges connect the new vertices pairwise.  The order grows by two.
+    Only the edges at ``v`` are visited, in a copy of the edge tuple, which
+    keeps their order; the triangle's edges come last.
     """
     if v not in graph.vertices:
         raise GraphError(f"no vertex {v}")
@@ -408,14 +403,12 @@ def expand_triangle(graph: CubicGraph, v: int) -> CubicGraph:
     base = max(graph.vertices) + 1
     corners = (base, base + 1, base + 2)
     incident = sorted(graph.incident_edges(v), key=lambda e: e.id)
-    replaced = {}
-    for corner, e in zip(corners, incident):
-        a = corner if e.a == v else e.a
-        b = corner if e.b == v else e.b
-        replaced[e.id] = Edge(e.id, a, b)
-    new_edges = [replaced.get(e.id, e) for e in graph.edges]
+    edges = list(graph.edges)
+    position = graph._position
+    for corner, (eid, a, b) in zip(corners, incident):
+        edges[position[eid]] = Edge(eid, corner if a == v else a, corner if b == v else b)
     next_id = graph.max_edge_id() + 1
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        new_edges.append(Edge(next_id, corners[i], corners[j]))
+        edges.append(Edge(next_id, corners[i], corners[j]))
         next_id += 1
-    return _rebuild((graph.vertices - {v}) | set(corners), new_edges)
+    return CubicGraph((graph.vertices - {v}) | set(corners), tuple(edges))

@@ -12,7 +12,7 @@ it is settled where it can be from the labels.  A zero label (a bridge) or
 two equal labels (a 2-edge cut) give the answer 1 or 2.  Otherwise the
 graph is simple or the theta graph, and three labels with XOR zero on
 edges that do not all meet at one vertex are a cyclic 3-cut.  Failing
-that, a 4-cycle settles the answer at 4 once the order is at least 8.
+that, girth 4 settles the answer at 4 once the order is at least 8.
 Only the rest get the exhaustive search: cyclically 4-edge-connected
 graphs of girth at least 5, plus K4, K3,3 and the theta graph.  The
 search pairs up chordless cycles (loops count as 1-cycles, parallel pairs
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import islice
 from typing import Optional, Union
 
 from .multigraph import DANGLING, CubicGraph, Edge, GraphError
@@ -46,15 +46,17 @@ def structure_profile(graph: CubicGraph) -> StructureProfile:
 
     For non-cubic or disconnected input the cyclic-connectivity slot is None
     (the dedicated function refuses such graphs loudly instead).  The
-    cycle-space labels are built once, for the cuts and the bridges.
+    cycle-space labels are built once, for the cuts and the bridges, and
+    the girth once, for the profile and the cuts.
     """
     labels = _cycle_labels(graph)
+    shortest = girth(graph)
     cec: Optional[int] = None
     if graph.is_cubic and graph.is_connected and not graph.has_dangling:
-        cec = cyclic_edge_connectivity(graph, labels=labels)
+        cec = cyclic_edge_connectivity(graph, labels=labels, shortest=shortest)
     return StructureProfile(
         bridge_count=len(find_bridges(graph, labels=labels)),
-        girth=girth(graph),
+        girth=shortest,
         cyclic_edge_connectivity=cec,
     )
 
@@ -111,15 +113,19 @@ def find_bridges(
 
 
 def cyclic_edge_connectivity(
-    graph: CubicGraph, *, labels: Optional[dict[int, int]] = None
+    graph: CubicGraph,
+    *,
+    labels: Optional[dict[int, int]] = None,
+    shortest: Union[int, float, None] = None,
 ) -> Optional[int]:
     """Minimum cyclic edge cut size for a connected cubic graph, or None.
 
     None means no two vertex-disjoint cycles exist, so no cut can separate
     two cycle-containing parts.  Non-cubic input is refused.  ``labels`` is
-    ``_cycle_labels(graph)`` when the caller has it already.
+    ``_cycle_labels(graph)`` and ``shortest`` is ``girth(graph)`` when the
+    caller has them already.
 
-    The cuts of size 1, 2 and 3 are read off cycle-space labels, a 4-cycle
+    The cuts of size 1, 2 and 3 are read off cycle-space labels, girth 4
     settles 4, and only the rest is searched for:
 
     * Cuts of size 1 and 2.  A cyclic cut disconnects the graph, so it has
@@ -143,8 +149,10 @@ def cyclic_edge_connectivity(
       edges, so there are two, the three edges run between them and they
       are such a triple.  The third edge of a pair is one dictionary
       lookup by label, so all triples cost O(m^2).
-    * Size 4.  With no cyclic cut below 4 and order n >= 8, a 4-cycle Q
-      (two vertices with two common neighbours) gives the answer 4.  A
+    * Size 4.  With no cyclic cut below 4 and order n >= 8, girth 4 gives
+      the answer 4.  The graph is simple, and it has no triangle: the
+      three edges leaving a triangle would be a cyclic 3-cut, as they
+      meet at one vertex only in K4.  So girth 4 means a 4-cycle Q.  A
       chord of Q would leave at most 2 edges in delta(Q), so it has 4 and
       G - Q has n - 4 vertices and (3(n - 4) - 4) / 2 edges, at least
       n - 4 once n >= 8.  Both sides hold a cycle.
@@ -169,7 +177,7 @@ def cyclic_edge_connectivity(
         return 2
     if _has_cyclic_3_cut(by_label):
         return 3
-    if graph.order >= 8 and _has_4_cycle(graph):
+    if graph.order >= 8 and (girth(graph) if shortest is None else shortest) == 4:
         return 4
     return _min_cut_over_cycle_pairs(graph, chordless_cycles(graph), 4)
 
@@ -230,21 +238,6 @@ def _has_cyclic_3_cut(labels: dict[int, Edge]) -> bool:
             g = labels.get(x ^ y)
             if g is not None and not ends.intersection((f.a, f.b), (g.a, g.b)):
                 return True
-    return False
-
-
-def _has_4_cycle(graph: CubicGraph) -> bool:
-    """Whether two vertices of a simple graph have two common neighbours."""
-    adj: dict[int, list[int]] = {v: [] for v in graph.vertices}
-    for e in graph.edges:
-        adj[e.a].append(e.b)
-        adj[e.b].append(e.a)
-    spanned = set()  # pairs of vertices with a common neighbour
-    for around in adj.values():
-        for pair in combinations(sorted(around), 2):
-            if pair in spanned:
-                return True
-            spanned.add(pair)
     return False
 
 

@@ -15,9 +15,11 @@ import pytest
 from snarkcrit.cli import RunConfig, run
 from snarkcrit.coloring import three_edge_colorable
 from snarkcrit.criticality import (
+    DecisionTable,
     classify,
     is_bicritical,
     is_snark,
+    snark_status,
     strong_certificate,
     verify_classifier_coincidence,
     verify_local_equivalence,
@@ -263,6 +265,51 @@ def test_supplementary_strictly_critical_connectivity(corpus_records):
         if r.is_strictly_critical and r.cyclic_edge_connectivity != 4
     ]
     assert offenders == []
+
+
+@pytest.fixture(scope="module")
+def noncritical_girth5(corpus_path):
+    """Four non-critical snarks of girth 5 and cyclic connectivity 4, orders 36,
+    34, 36, 34: dot products of bundled snarks, like the census lists' graphs."""
+    return [e.graph for e in read_graph6_file(corpus_path.parent / "noncritical_girth5.g6")]
+
+
+def test_supplementary_noncritical_girth5_records(noncritical_girth5):
+    # classify raises on any disagreement between the routes
+    verdicts = (
+        "is_critical",
+        "is_bicritical",
+        "is_strictly_critical",
+        "is_4_edge_critical",
+        "is_4_vertex_critical",
+        "is_strong",
+    )
+    assert [g.order for g in noncritical_girth5] == [36, 34, 36, 34]
+    for index, graph in enumerate(noncritical_girth5, start=1):
+        record = classify(graph, graph_index=index)
+        assert (record.is_snark, record.girth, record.cyclic_edge_connectivity) == (True, 5, 4)
+        assert [getattr(record, name) for name in verdicts] == [False] * len(verdicts)
+
+
+def test_supplementary_noncritical_girth5_pair_routes(noncritical_girth5):
+    for graph in noncritical_girth5:
+        table = DecisionTable(graph, snark_status(graph))
+        strong = strong_certificate(graph, table=table)
+        assert strong.routes_agree and not strong.is_strong
+        if graph.order != 34:  # the order-36 pair scans run in CI, not here
+            continue
+        cert = verify_local_equivalence(graph, table=table)
+        assert cert.consistent and cert.pair_count == 34 * 33 // 2
+        # every statement of the pair routes is refuted on some pair
+        refuted = {k for r in cert.reports for k, x in r.statements().items() if not x}
+        assert refuted == {
+            "colorable_after_removal",
+            "flow_after_removal",
+            "flow_after_identification",
+            "flow_after_edge_deletion",
+            "flow_after_contraction",
+            "colorable_after_suppression",
+        }
 
 
 def test_criterion_9_determinism_across_parallelism(corpus_path):

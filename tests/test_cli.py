@@ -431,11 +431,12 @@ class TestErrors:
     ):
         # every chunk a wait was given finishes before the pool looks again,
         # so the set of unfinished chunks that wait returned is stale
+        import concurrent.futures
         from concurrent.futures import ALL_COMPLETED
 
         from snarkcrit import cli
 
-        real_wait = cli.wait
+        real_wait = concurrent.futures.wait
 
         def late_wait(fs, return_when):
             first = real_wait(fs, return_when=return_when)
@@ -447,7 +448,8 @@ class TestErrors:
             return Result(index, line=f"graph {index}", pairs=45)
 
         graphs = 16
-        monkeypatch.setattr(cli, "wait", late_wait)
+        # the pool imports ``wait`` from its module when it starts
+        monkeypatch.setattr(concurrent.futures, "wait", late_wait)
         monkeypatch.setattr(cli, "evaluate", quick_evaluate)
         path = tmp_path / "many.g6"
         path.write_text((encode_graph6(petersen()) + "\n") * graphs)
@@ -458,9 +460,8 @@ class TestErrors:
 
     def test_pool_asks_for_no_more_workers_than_chunks(self, tmp_path, monkeypatch):
         # a thread pool stands in for the process pool and records its size
+        import concurrent.futures
         from concurrent.futures import ThreadPoolExecutor
-
-        from snarkcrit import cli
 
         asked = []
 
@@ -468,7 +469,7 @@ class TestErrors:
             asked.append(max_workers)
             return ThreadPoolExecutor(max_workers=max_workers)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", recording_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
         path = tmp_path / "three.g6"
         path.write_text((encode_graph6(petersen()) + "\n") * 3)
         code, out, _ = run_cli(command="classify", input_path=str(path), jobs=8)
@@ -670,12 +671,12 @@ class TestEntryPoint:
         assert main(["--named", "k4", "--command", "classify"]) == EXIT_OK
 
     def test_bad_jobs_is_a_usage_error(self, monkeypatch, capsys):
-        from snarkcrit import cli
+        import concurrent.futures
 
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was started")
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         for jobs in ("0", "-3"):
             with pytest.raises(SystemExit) as info:
                 main(["--named", "petersen", "--jobs", jobs])
@@ -693,3 +694,19 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "45 pairs consistent" in proc.stdout
+
+    def test_runs_without_a_pool_do_not_load_multiprocessing(self, tmp_path):
+        empty = tmp_path / "empty.g6"
+        empty.write_text("")
+        script = (
+            "import sys\n"
+            "from snarkcrit.cli import main\n"
+            "assert main(['--named', 'petersen', '--jobs', '1']) == 0\n"
+            f"assert main(['--input', {str(empty)!r}, '--jobs', '2', '--zero-timings']) == 0\n"
+            "print('multiprocessing' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"

@@ -213,6 +213,17 @@ class TestOnePassSurgery:
                     with pytest.raises(GraphError):
                         identify(g, pair)
 
+    def test_deletion_and_expansion_keep_edges_in_id_order(self, cases):
+        # each patches a copy of the edge tuple, which no re-sort follows
+        for g in cases:
+            for e in g.edges:
+                out = delete_edge(g, e.id)
+                assert out.edges == tuple(x for x in g.edges if x.id != e.id)
+            for v in sorted(g.vertices):
+                if g.degree(v) == 3 and not g.loops_at(v):
+                    ids = [x.id for x in expand_triangle(g, v).edges]
+                    assert ids == sorted(ids)
+
 
 class TestDeleteEdge:
     def test_theta(self, theta_graph):

@@ -209,19 +209,20 @@ def branch_of(monkeypatch):
     """Names the branch of ``cyclic_edge_connectivity`` that settles a graph."""
     seen: list[str] = []
 
-    def spy(name: str):
+    def spy(name: str, settles):
         real = getattr(structure, name)
 
         def wrapper(*args):
             result = real(*args)
-            if result:
+            if settles(result):
                 seen.append(name)
             return result
 
         monkeypatch.setattr(structure, name, wrapper)
 
-    for name in ("_has_cyclic_3_cut", "_has_4_cycle", "chordless_cycles"):
-        spy(name)
+    spy("_has_cyclic_3_cut", bool)
+    spy("girth", lambda value: value == 4)  # the size-4 rule reads the girth
+    spy("chordless_cycles", bool)
 
     def branch(graph) -> tuple[str, object]:
         seen.clear()
@@ -254,7 +255,7 @@ class TestCyclicConnectivityBranches:
             assert value == cyclic_connectivity_by_cycle_pairs(g)
         assert taken["lambda"] <= {1, 2} and taken["lambda"]
         assert taken["_has_cyclic_3_cut"] == {3}
-        assert taken["_has_4_cycle"] == {4}
+        assert taken["girth"] == {4}
         assert {4, 5} <= taken["pair search"]
 
     def test_boundary_cases(self, branch_of, k4, theta_graph):
@@ -264,7 +265,7 @@ class TestCyclicConnectivityBranches:
             (theta_graph, "pair search", None),
             (k33, "pair search", None),  # order 6, girth 4
             (_prism(), "_has_cyclic_3_cut", 3),  # the cut around a triangle
-            (build_graph(8, _cube()), "_has_4_cycle", 4),
+            (build_graph(8, _cube()), "girth", 4),
             (_joined_cubes(), "_has_cyclic_3_cut", 3),  # triangle-free
         ]
         for graph, branch, value in cases:
@@ -309,6 +310,20 @@ class TestProfile:
         p = structure_profile(path)
         assert p.cyclic_edge_connectivity is None
         assert p.girth == math.inf
+
+    def test_girth_is_computed_once(self, monkeypatch):
+        # the cube reaches the size-4 rule, which reads the profile's girth
+        calls = []
+        real = structure.girth
+
+        def counting(graph):
+            calls.append(graph)
+            return real(graph)
+
+        monkeypatch.setattr(structure, "girth", counting)
+        p = structure_profile(build_graph(8, _cube()))
+        assert (p.girth, p.cyclic_edge_connectivity) == (4, 4)
+        assert len(calls) == 1
 
 
 @given(multigraphs(max_vertices=7, max_edges=10))
