@@ -56,6 +56,15 @@ from .multigraph import CubicGraph, GraphError
 COMMANDS = ("classify", "verify-local", "verify-coincidence", "verify-strong", "stats")
 FORMATS = ("csv", "jsonl")
 
+# the counts of ``stats`` after "graphs", each with the record flag it counts
+_STATS_FLAGS = {
+    "snarks": "is_snark",
+    "critical": "is_critical",
+    "bicritical": "is_bicritical",
+    "strictly_critical": "is_strictly_critical",
+    "strong": "is_strong",
+}
+
 EXIT_OK = 0
 EXIT_UNREADABLE = 2
 EXIT_PARSE = 3
@@ -282,10 +291,12 @@ def _report(
     """Write the report of any command; returns the exit code.
 
     Each violating graph gets a reproducing command on ``err``, and a
-    raised violation also its message there, naming the graph.
+    raised violation also its message there, naming the graph.  Only
+    ``classify`` keeps its records; ``stats`` counts them as they arrive.
     """
     err = err if err is not None else sys.stderr
     records = []
+    counts = dict.fromkeys(("graphs", *_STATS_FLAGS), 0)
     checked = violations = pair_total = 0
     for r in results:
         checked += 1
@@ -296,7 +307,12 @@ def _report(
             violations += 1
             print(_reproduce(config, r.graph6), file=err)
         if r.record is not None:
-            records.append(r.record)
+            if config.command == "classify":
+                records.append(r.record)
+            else:
+                counts["graphs"] += 1
+                for key, flag in _STATS_FLAGS.items():
+                    counts[key] += bool(getattr(r.record, flag))
         if r.line is not None:
             out.write(r.line + "\n")
         pair_total += r.pairs
@@ -310,7 +326,7 @@ def _report(
             ]
         out.write(write_records(records, config.format).decode("utf-8"))
     elif config.command == "stats":
-        _print_stats(records, skipped, config, out)
+        _print_stats({**counts, "skipped_over_max_order": skipped}, config, out)
     else:
         summary = f"checked {checked} graph(s)"
         if config.command == "verify-local":
@@ -322,16 +338,7 @@ def _report(
     return EXIT_VIOLATION if violations else EXIT_OK
 
 
-def _print_stats(records, skipped: int, config: RunConfig, out) -> None:
-    counts = {
-        "graphs": len(records),
-        "snarks": sum(1 for r in records if r.is_snark),
-        "critical": sum(1 for r in records if r.is_critical),
-        "bicritical": sum(1 for r in records if r.is_bicritical),
-        "strictly_critical": sum(1 for r in records if r.is_strictly_critical),
-        "strong": sum(1 for r in records if r.is_strong),
-        "skipped_over_max_order": skipped,
-    }
+def _print_stats(counts: dict[str, int], config: RunConfig, out) -> None:
     if config.format == "jsonl":
         import json
 

@@ -132,13 +132,11 @@ def encode_graph6(graph: CubicGraph) -> str:
         raise Graph6EncodeError("graph6 cannot express loops")
     order = {v: i for i, v in enumerate(sorted(graph.vertices))}
     n = len(order)
-    seen = set()
     present = set()
     for e in graph.edges:
         x, y = sorted(order[z] for z in e.real_endpoints())
-        if (x, y) in seen:
+        if (x, y) in present:
             raise Graph6EncodeError("graph6 cannot express parallel edges")
-        seen.add((x, y))
         present.add((x, y))
 
     if n <= 62:

@@ -1,9 +1,10 @@
 """Immutable multigraph model and local surgery on cubic graphs.
 
 Graphs here are multigraphs in the widest sense: loops and parallel edges
-are allowed, and an edge may keep only one attached endpoint (a "dangling"
-edge, produced by vertex removal).  Dangling edges are kept because they
-carry colors and flow values across the boundary of a removed vertex pair.
+are allowed, and an edge may lose an endpoint to vertex removal.  Such an
+edge is "dangling"; one that has lost both endpoints is also called free.
+Dangling edges are kept because they carry colors and flow values across
+the boundary of a removed vertex pair.
 
 Every operation is a pure function: inputs are never mutated, results are
 freshly built graphs.  Vertex and edge ids are small integers; surgery
@@ -50,7 +51,11 @@ Endpoint = Union[int, _EndpointMarker]
 
 
 class Edge(NamedTuple):
-    """One edge record; ``a == b`` is a loop, a DANGLING slot a lost endpoint."""
+    """One edge record; ``a == b`` is a loop, a DANGLING slot a lost endpoint.
+
+    An edge with a lost endpoint is dangling, whether it keeps the other
+    endpoint or, as a free edge, has lost both.
+    """
 
     id: int
     a: Endpoint
@@ -62,11 +67,7 @@ class Edge(NamedTuple):
 
     @property
     def is_dangling(self) -> bool:
-        return (self.a is DANGLING) ^ (self.b is DANGLING)
-
-    @property
-    def is_free(self) -> bool:
-        return self.a is DANGLING and self.b is DANGLING
+        return self.a is DANGLING or self.b is DANGLING
 
     def real_endpoints(self) -> tuple[int, ...]:
         return tuple(x for x in (self.a, self.b) if x is not DANGLING)
@@ -178,19 +179,9 @@ class CubicGraph:
         """Number of edge-endpoint incidences at ``v`` (a loop counts twice)."""
         return sum(2 if e.a == e.b else 1 for e in self.incident_edges(v))
 
-    def degrees(self) -> dict[int, int]:
-        """Degree of every vertex, counted in one pass over the edges."""
-        degree = dict.fromkeys(self.vertices, 0)
-        for _, a, b in self.edges:
-            if a is not DANGLING:
-                degree[a] += 1
-            if b is not DANGLING:
-                degree[b] += 1
-        return degree
-
     @cached_property
     def is_cubic(self) -> bool:
-        return all(d == 3 for d in self.degrees().values())
+        return all(self.degree(v) == 3 for v in self.vertices)
 
     def connecting_edges(self, u: int, v: int) -> tuple[int, ...]:
         """Ids of non-loop edges joining ``u`` and ``v``, in id order."""
@@ -205,31 +196,27 @@ class CubicGraph:
 
     @cached_property
     def has_dangling(self) -> bool:
-        return any(e.is_dangling or e.is_free for e in self.edges)
-
-    def components(self) -> tuple[frozenset[int], ...]:
-        """Vertex sets of connected components; dangling edges join nothing."""
-        remaining = set(self.vertices)
-        comps = []
-        while remaining:
-            root = min(remaining)
-            comp = {root}
-            stack = [root]
-            while stack:
-                x = stack.pop()
-                for e in self._incidence[x]:
-                    w = e.b if e.a == x else e.a
-                    if w is not DANGLING and w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            remaining -= comp
-            comps.append(frozenset(comp))
-        return tuple(comps)
+        return any(e.is_dangling for e in self.edges)
 
     @cached_property
     def is_connected(self) -> bool:
-        """True iff there is exactly one component.  The empty graph is not connected."""
-        return len(self.components()) == 1
+        """True iff one search from the smallest vertex reaches every vertex.
+
+        Dangling edges join nothing.  The empty graph is not connected.
+        """
+        if not self.vertices:
+            return False
+        root = min(self.vertices)
+        reached = {root}
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for e in self._incidence[x]:
+                w = e.b if e.a == x else e.a
+                if w is not DANGLING and w not in reached:
+                    reached.add(w)
+                    stack.append(w)
+        return len(reached) == len(self.vertices)
 
     def max_edge_id(self) -> int:
         return max((e.id for e in self.edges), default=-1)
@@ -330,7 +317,7 @@ def contract_edge(graph: CubicGraph, edge_id: int) -> CubicGraph:
     e = graph.edge(edge_id)
     if e.is_loop:
         raise GraphError(f"cannot contract loop {edge_id}")
-    if e.is_dangling or e.is_free:
+    if e.is_dangling:
         raise GraphError(f"cannot contract dangling edge {edge_id}")
     merged = identify_vertices(graph, VertexPair(e.a, e.b))
     return delete_edge(merged, edge_id)
@@ -354,7 +341,7 @@ def suppress_edge(graph: CubicGraph, edge_id: int) -> CubicGraph:
         raise GraphError("suppression is defined for connected graphs only")
     if e.is_loop:
         raise GraphError(f"cannot suppress loop {edge_id}")
-    if e.is_dangling or e.is_free:
+    if e.is_dangling:
         raise GraphError(f"cannot suppress dangling edge {edge_id}")
 
     dropped = {edge_id}

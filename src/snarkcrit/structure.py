@@ -254,9 +254,7 @@ def _min_cut_over_cycle_pairs(
     index = {v: i for i, v in enumerate(sorted(graph.vertices))}
     arcs: list[list[tuple[int, int, int]]] = [[] for _ in index]
     edge_count = 0
-    for e in graph.edges:
-        if e.is_loop:
-            continue
+    for e in graph.edges:  # no loops: the other edge at a loop's vertex is a bridge
         x, y = index[e.a], index[e.b]
         arcs[x].append((edge_count, y, 1))
         arcs[y].append((edge_count, x, -1))
@@ -332,24 +330,14 @@ def _max_flow(
 
 def chordless_cycles(graph: CubicGraph) -> list[frozenset[int]]:
     """Vertex sets of all chordless cycles; loops and parallel pairs included."""
-    out: list[frozenset[int]] = []
-    seen: set[frozenset[int]] = set()
-    for e in graph.edges:
-        if e.is_loop:
-            key = frozenset((e.a,))
-            if key not in seen:
-                seen.add(key)
-                out.append(key)
+    out = list(dict.fromkeys(frozenset((e.a,)) for e in graph.edges if e.is_loop))
     pair_mult: dict[frozenset[int], int] = {}
     for e in graph.edges:
         reals = e.real_endpoints()
         if len(reals) == 2 and reals[0] != reals[1]:
             key = frozenset(reals)
             pair_mult[key] = pair_mult.get(key, 0) + 1
-    for key, mult in pair_mult.items():
-        if mult >= 2 and key not in seen:
-            seen.add(key)
-            out.append(key)
+    out += [key for key, mult in pair_mult.items() if mult >= 2]
 
     adj: dict[int, set[int]] = {v: set() for v in graph.vertices}
     for key in pair_mult:
@@ -357,7 +345,8 @@ def chordless_cycles(graph: CubicGraph) -> list[frozenset[int]]:
         adj[x].add(y)
         adj[y].add(x)
 
-    # simple chordless cycles of length >= 3, anchored at their smallest vertex;
+    # simple chordless cycles of length >= 3, anchored at their smallest vertex
+    # and each closed once, towards the smaller of its two neighbours there;
     # each open path carries the bit set of its interior's neighbours
     around = {v: sum(1 << w for w in adj[v]) for v in adj}
     ordered = {v: sorted(adj[v]) for v in adj}
@@ -375,11 +364,8 @@ def chordless_cycles(graph: CubicGraph) -> list[frozenset[int]]:
                     if blocked >> u & 1:
                         continue
                     if s in adj[u]:
-                        if len(path) >= 2 and path[1] < u:
-                            cyc = frozenset(path + [u])
-                            if cyc not in seen:
-                                seen.add(cyc)
-                                out.append(cyc)
+                        if path[1] < u:
+                            out.append(frozenset(path + [u]))
                         continue  # extending past u would leave a chord to s
                     stack.append((path + [u], blocked | around[last]))
     return out

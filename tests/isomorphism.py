@@ -18,7 +18,7 @@ def _signature(graph: CubicGraph) -> tuple:
     dangling = Counter()
     mult: dict[tuple[int, int], int] = {}
     for e in graph.edges:
-        if e.is_free:
+        if not e.real_endpoints():  # a free edge
             continue
         if e.is_loop:
             loops[e.a] += 1
@@ -28,6 +28,10 @@ def _signature(graph: CubicGraph) -> tuple:
             x, y = sorted(e.real_endpoints())
             mult[(x, y)] = mult.get((x, y), 0) + 1
     return loops, dangling, mult
+
+
+def _free_edges(graph: CubicGraph) -> int:
+    return sum(not e.real_endpoints() for e in graph.edges)
 
 
 def _refine_colors(graph: CubicGraph, loops, dangling, mult) -> dict[int, int]:
@@ -53,7 +57,7 @@ def are_isomorphic(g: CubicGraph, h: CubicGraph) -> bool:
         return False
     g_loops, g_dang, g_mult = _signature(g)
     h_loops, h_dang, h_mult = _signature(h)
-    if len([e for e in g.edges if e.is_free]) != len([e for e in h.edges if e.is_free]):
+    if _free_edges(g) != _free_edges(h):
         return False
     if sorted(g_loops.values()) != sorted(h_loops.values()):
         return False

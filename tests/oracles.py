@@ -17,6 +17,7 @@ from collections import deque
 from itertools import combinations
 from typing import Optional, Union
 
+import networkx as nx
 import numpy as np
 
 from snarkcrit.multigraph import (
@@ -190,9 +191,20 @@ def colorable_by_backtracking(graph: CubicGraph) -> bool:
     return place(0)
 
 
+def components(graph: CubicGraph) -> list[set[int]]:
+    """Vertex sets of the connected components, by their smallest vertex.
+
+    Dangling edges join nothing.
+    """
+    g = nx.Graph()
+    g.add_nodes_from(sorted(graph.vertices))
+    g.add_edges_from(e.real_endpoints() for e in graph.edges if not e.is_dangling)
+    return list(nx.connected_components(g))
+
+
 def _bfs_edge_order(graph: CubicGraph):
     order, listed = [], set()
-    for comp in graph.components():
+    for comp in components(graph):
         queue = [min(comp)]
         seen = {queue[0]}
         while queue:
@@ -218,7 +230,7 @@ def flow_exists_by_enumeration(graph: CubicGraph, group: str) -> bool:
     ``group`` is "Z4" (signed sums mod 4) or "Z2xZ2" (XOR, sign-free).
     Loops and free edges are unconstrained and skipped.
     """
-    edges = [e for e in graph.edges if not (e.is_loop or e.is_free)]
+    edges = [e for e in graph.edges if e.real_endpoints() and not e.is_loop]
     m = len(edges)
     if m == 0:
         return True
@@ -254,7 +266,7 @@ def colors_cancel_at_cubic_vertices(graph: CubicGraph, colors: dict[int, int]) -
         for x in (a, b):
             if x is not DANGLING:
                 sums[x] ^= colors[eid]
-    return all(not sums[v] for v, d in graph.degrees().items() if d == 3)
+    return all(not sums[v] for v in graph.vertices if graph.degree(v) == 3)
 
 
 def girth_by_cycle_enumeration(graph: CubicGraph):
@@ -295,14 +307,14 @@ def girth_by_cycle_enumeration(graph: CubicGraph):
 
 def bridges_by_removal(graph: CubicGraph) -> tuple[int, ...]:
     """An edge is a bridge iff removing it increases the component count."""
-    base = len(graph.components())
+    base = len(components(graph))
     out = []
     for e in graph.edges:
         if e.is_loop or len(e.real_endpoints()) < 2:
             continue
         from snarkcrit.multigraph import delete_edge
 
-        if len(delete_edge(graph, e.id).components()) > base:
+        if len(components(delete_edge(graph, e.id))) > base:
             out.append(e.id)
     return tuple(sorted(out))
 

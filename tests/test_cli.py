@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import gc
 import io
 import re
 import subprocess
 import sys
 import time
 import tracemalloc
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -26,12 +28,22 @@ from snarkcrit.criticality import (
     FLOW,
     IDENTIFICATION,
     SUPPRESSION,
+    ClassificationRecord,
     DecisionTable,
     EquivalenceViolationError,
 )
-from snarkcrit.graph_io import blanusa, encode_graph6, petersen
+from snarkcrit.graph_io import CSV_COLUMNS, blanusa, encode_graph6, petersen
 from snarkcrit.multigraph import VertexPair
 from faults import deny_decision
+
+
+# report lines of the verify commands, the timings masked
+REFUSED = "refused, not a snark (3-edge-colorable)"
+COINCIDE = (
+    "critical=true 4-edge-critical=true bicritical=true 4-vertex-critical=true "
+    "coloring_micros= flow_micros="
+)
+CHECKED = "checked 1 graph(s), 0 violation(s)"
 
 
 def run_cli(**kwargs) -> tuple[int, str, str]:
@@ -72,11 +84,17 @@ class TestClassify:
         assert cells["is_bicritical"] == "true"
         assert cells["is_strong"] == "false"
         assert cells["girth"] == "5"
+        assert row.rsplit(",", 2)[0] == "1,10,true,5,5,true,true,false,true,true,false"
 
     def test_named_multigraphs_work(self):
-        for name in ("dumbbell", "theta"):
-            code, out, _ = run_cli(command="classify", named=name)
+        rows = {
+            "dumbbell": "1,2,true,1,1,true,true,false,true,true,false,,",
+            "theta": "1,2,false,2,,,,,,,,,",
+        }
+        for name, row in rows.items():
+            code, out, _ = run_cli(command="classify", named=name, zero_timings=True)
             assert code == EXIT_OK
+            assert out == ",".join(CSV_COLUMNS) + "\n" + row + "\n"
 
     def test_corpus_csv(self, corpus_path):
         code, out, _ = run_cli(command="classify", input_path=str(corpus_path))
@@ -169,18 +187,26 @@ class TestVerifyCommands:
     def test_verify_local_petersen(self):
         code, out, _ = run_cli(command="verify-local", named="petersen")
         assert code == EXIT_OK
-        assert "45 pairs consistent" in out
-        assert "0 violation(s)" in out
+        assert out.splitlines() == [
+            "graph 1 (order 10): 45 pairs consistent",
+            "checked 1 graph(s), 45 pair(s), 0 violation(s)",
+        ]
 
     def test_verify_local_refuses_k4(self):
         code, out, _ = run_cli(command="verify-local", named="k4")
         assert code == EXIT_OK
-        assert "refused" in out
+        assert out.splitlines() == [
+            "graph 1 (order 4): refused, not a snark (3-edge-colorable)",
+            "checked 1 graph(s), 0 pair(s), 0 violation(s)",
+        ]
 
     def test_verify_local_flags_degenerate_dumbbell_pair(self):
         code, out, _ = run_cli(command="verify-local", named="dumbbell")
         assert code == EXIT_OK
-        assert "1 degenerate pair(s)" in out
+        assert out.splitlines() == [
+            "graph 1 (order 2): 1 pairs consistent, 1 degenerate pair(s)",
+            "checked 1 graph(s), 1 pair(s), 0 violation(s)",
+        ]
 
     def test_verify_coincidence_corpus_small(self, corpus_path):
         code, out, _ = run_cli(
@@ -192,7 +218,40 @@ class TestVerifyCommands:
     def test_verify_strong_petersen(self):
         code, out, _ = run_cli(command="verify-strong", named="petersen")
         assert code == EXIT_OK
-        assert "strong=false routes_agree=true" in out
+        assert out.splitlines() == [
+            "graph 1 (order 10): strong=false routes_agree=true edges=15 "
+            "non_suppressible=0",
+            "checked 1 graph(s), 0 violation(s)",
+        ]
+
+    # the cells of (command, built-in graph) that the tests above leave
+    # open; the refusals and the multigraphs read is_connected, is_cubic and
+    # has_dangling before any solver runs
+    @pytest.mark.parametrize(
+        "command, name, lines",
+        [
+            ("classify", "k4", [",".join(CSV_COLUMNS), "1,4,false,3,,,,,,,,,"]),
+            ("verify-local", "theta", [
+                f"graph 1 (order 2): {REFUSED}",
+                "checked 1 graph(s), 0 pair(s), 0 violation(s)",
+            ]),
+            ("verify-coincidence", "dumbbell", [f"graph 1 (order 2): {COINCIDE}", CHECKED]),
+            ("verify-coincidence", "theta", [f"graph 1 (order 2): {REFUSED}", CHECKED]),
+            ("verify-coincidence", "k4", [f"graph 1 (order 4): {REFUSED}", CHECKED]),
+            ("verify-coincidence", "petersen", [f"graph 1 (order 10): {COINCIDE}", CHECKED]),
+            ("verify-strong", "dumbbell", [
+                "graph 1 (order 2): strong=false routes_agree=true edges=1 "
+                "non_suppressible=1",
+                CHECKED,
+            ]),
+            ("verify-strong", "theta", [f"graph 1 (order 2): {REFUSED}", CHECKED]),
+            ("verify-strong", "k4", [f"graph 1 (order 4): {REFUSED}", CHECKED]),
+        ],
+    )
+    def test_every_command_on_the_built_in_graphs(self, command, name, lines):
+        code, out, _ = run_cli(command=command, named=name, zero_timings=True)
+        assert code == EXIT_OK
+        assert re.sub(r"micros=\d+", "micros=", out).splitlines() == lines
 
     def test_strong_disagreement_names_the_edge(self, monkeypatch):
         # both solvers call the fourth suppression of Petersen uncolorable,
@@ -242,6 +301,32 @@ class TestVerifyCommands:
         _, stats_out, _ = run_cli(command="stats", input_path=str(corpus_path))
         stats = dict(line.split(": ") for line in stats_out.strip().split("\n"))
         assert int(stats["critical"]) == critical
+
+    def test_stats_keeps_no_records(self):
+        # a census list runs to tens of millions of graphs, so stats counts
+        # each record as it arrives and holds it no longer than that
+        held = []
+
+        def results():
+            for i in range(1, 51):
+                if len(held) >= 2:
+                    gc.collect()
+                    assert held[-2]() is None, f"the record of graph {i - 2} is kept"
+                snark = i % 2 == 1
+                verdicts = (True, True, False, True, True, False) if snark else ()
+                record = ClassificationRecord(i, 10, snark, 5, 5, *verdicts)
+                held.append(weakref.ref(record))
+                yield Result(i, record=record)
+                del record
+
+        out = io.StringIO()
+        config = RunConfig(command="stats", named="petersen")
+        assert _report(results(), 0, config, out) == EXIT_OK
+        assert len(held) == 50
+        assert out.getvalue() == (
+            "graphs: 50\nsnarks: 25\ncritical: 25\nbicritical: 25\n"
+            "strictly_critical: 0\nstrong: 0\nskipped_over_max_order: 0\n"
+        )
 
     def test_stats_jsonl(self, corpus_path):
         import json

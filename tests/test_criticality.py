@@ -46,7 +46,7 @@ from snarkcrit.multigraph import (
 )
 from snarkcrit.structure import find_bridges
 from faults import deny_decision
-from oracles import colorable_by_backtracking
+from oracles import colorable_by_backtracking, components
 
 
 class TestIsSnark:
@@ -240,7 +240,7 @@ class TestStrong:
         # suppressing the bridge leaves two disjoint Petersen graphs: no
         # snark, but uncolorable, as the removal of the bridge's ends is
         (bridge,) = find_bridges(bridged_snark)
-        assert len(suppress_edge(bridged_snark, bridge).components()) == 2
+        assert len(components(suppress_edge(bridged_snark, bridge))) == 2
         cert = strong_certificate(bridged_snark)
         assert cert.routes_agree
         assert cert.is_strong
