@@ -12,23 +12,29 @@ it is settled where it can be from the labels.  A zero label (a bridge) or
 two equal labels (a 2-edge cut) give the answer 1 or 2.  Otherwise the
 graph is simple or the theta graph, and three labels with XOR zero on
 edges that do not all meet at one vertex are a cyclic 3-cut.  Failing
-that, girth 4 settles the answer at 4 once the order is at least 8.
-Only the rest get the exhaustive search: cyclically 4-edge-connected
-graphs of girth at least 5, plus K4, K3,3 and the theta graph.  The
-search pairs up chordless cycles (loops count as 1-cycles, parallel pairs
-as 2-cycles) and takes the minimum edge cut separating any vertex-disjoint
-pair, found by augmenting paths with both cycles contracted, stopping
-early once a cut of size 4 turns up.  Every cycle-containing side of a cut
-contains a chordless cycle, so scanning all chordless-cycle pairs is
-exact.  The tests check the result against the plain all-pairs search
-and, on small instances, against exhaustive cut enumeration.
+that, girth 4 settles the answer at 4 once the order is at least 8.  At
+girth 5 and more, a zero-XOR set of 4 or 5 edges is a bond, and once no
+smaller cyclic cut exists it is a cyclic cut exactly when no two of its
+edges meet; otherwise one side, the two ends of an edge or a path of
+three vertices, holds no cycle.  5-sets are looked for from girth 6 on.
+The rest get the exhaustive search, which pairs up chordless cycles
+(loops count as 1-cycles, parallel pairs as 2-cycles) and takes the
+minimum edge cut separating any vertex-disjoint pair, found by augmenting
+paths with both cycles contracted.  It stops at the first pair whose cut
+meets the proven lower bound: 4 below girth 5, else the girth capped at
+6.  Every cycle-containing side of a cut contains a chordless cycle, so
+scanning all chordless-cycle pairs is exact.  It still lists every
+chordless cycle, whose number grows exponentially with the order, and
+from girth 7 on the bound may stay below the answer.  The tests check
+the result against the plain all-pairs search and, on small instances,
+against exhaustive cut enumeration.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import combinations, islice
 from typing import Optional, Union
 
 from .multigraph import DANGLING, CubicGraph, Edge, GraphError
@@ -125,7 +131,7 @@ def cyclic_edge_connectivity(
     ``_cycle_labels(graph)`` and ``shortest`` is ``girth(graph)`` when the
     caller has them already.
 
-    The cuts of size 1, 2 and 3 are read off cycle-space labels, girth 4
+    The cuts of size 1 to 5 are read off cycle-space labels, girth 4
     settles 4, and only the rest is searched for:
 
     * Cuts of size 1 and 2.  A cyclic cut disconnects the graph, so it has
@@ -156,10 +162,30 @@ def cyclic_edge_connectivity(
       chord of Q would leave at most 2 edges in delta(Q), so it has 4 and
       G - Q has n - 4 vertices and (3(n - 4) - 4) / 2 edges, at least
       n - 4 once n >= 8.  Both sides hold a cycle.
+    * Sizes 4 and 5 at girth g >= 5.  The graph is simple with lambda = 3
+      and n >= 10.  A zero-XOR set of k = 4 or 5 edges is a cut that
+      cannot split into smaller cuts, as each would need 3 edges, so it
+      is a bond and both of its sides are connected.  A side S spans
+      (3|S| - k) / 2 edges, so it holds a cycle exactly when |S| >= k;
+      a smaller side is a tree (at girth >= 5 an edge for k = 4, a path
+      of three vertices for k = 5), and a leaf of it meets two edges of
+      the bond.  Conversely, if two edges of the bond meet at u in S,
+      moving u to the other side leaves a bond of k - 1 edges.  No
+      cyclic cut has k - 1 edges, so one of its sides has fewer than
+      k - 1 vertices, and S or the other side fewer than k.  So, once no
+      smaller cyclic cut exists, a zero-XOR k-set is a cyclic cut exactly
+      when no two of its edges meet, as for k = 3.  Two pairs of labels
+      with one XOR give the 4-sets, and a triple whose XOR is that of a
+      pair gives the 5-sets, which are looked for only at g >= 6: at
+      g = 5 a 5-cycle already bounds the answer by 5.
     * Otherwise every disjoint pair of chordless cycles gets a max-flow,
-      capped at the best cut so far, and the search stops once a cut of
-      size 4 turns up.  Every cycle-containing side of a cut holds a
-      chordless cycle, so the minimum over all pairs is exact.
+      capped at the best cut so far, and the search stops at the first
+      cut that meets the lower bound: 4, or min(g, 6) once sizes 4 and 5
+      are ruled out at g >= 5.  Every cycle-containing side of a cut
+      holds a chordless cycle, so the minimum over all pairs is exact.
+      The search lists every chordless cycle first, and their number
+      grows exponentially with the order.  From girth 7 on the answer
+      may exceed the bound, and then every disjoint pair gets a max-flow.
     """
     if not graph.is_cubic or graph.has_dangling:
         raise GraphError("cyclic edge-connectivity is computed for cubic graphs only")
@@ -177,9 +203,17 @@ def cyclic_edge_connectivity(
         return 2
     if _has_cyclic_3_cut(by_label):
         return 3
-    if graph.order >= 8 and (girth(graph) if shortest is None else shortest) == 4:
+    if shortest is None:
+        shortest = girth(graph)
+    if graph.order >= 8 and shortest == 4:
         return 4
-    return _min_cut_over_cycle_pairs(graph, chordless_cycles(graph), 4)
+    lower = 4
+    if shortest >= 5:
+        found = _cyclic_4_or_5_cut(by_label, shortest >= 6)
+        if found is not None:
+            return found
+        lower = min(shortest, 6)
+    return _min_cut_over_cycle_pairs(graph, chordless_cycles(graph), lower)
 
 
 def _cycle_labels(graph: CubicGraph) -> dict[int, int]:
@@ -239,6 +273,33 @@ def _has_cyclic_3_cut(labels: dict[int, Edge]) -> bool:
             if g is not None and not ends.intersection((f.a, f.b), (g.a, g.b)):
                 return True
     return False
+
+
+def _cyclic_4_or_5_cut(labels: dict[int, Edge], look_for_5: bool) -> Optional[int]:
+    """4 or 5 for that many edges with labels XOR zero, no two meeting; else None.
+
+    ``labels`` maps distinct nonzero labels to their edges.  One table maps
+    the XOR of the labels of each pair of edges that do not meet to the
+    end bits of such pairs; two different pairs with one XOR share no
+    edge.  A 4-set is two pairs in one entry and a 5-set a triple whose
+    XOR has a pair in the table, when all their ends differ.  5-sets are
+    looked for only when ``look_for_5``.
+    """
+    items = [(x, 1 << e.a | 1 << e.b) for x, e in labels.items()]  # label, end bits
+    pairs: dict[int, list[int]] = {}
+    for (x, s), (y, t) in combinations(items, 2):
+        if not s & t:
+            entry = pairs.setdefault(x ^ y, [])
+            if any(not (s | t) & ends for ends in entry):
+                return 4
+            entry.append(s | t)
+    if not look_for_5:
+        return None
+    for (x, s), (y, t), (z, u) in combinations(items, 3):
+        if not (s & t or (s | t) & u):
+            if any(not (s | t | u) & ends for ends in pairs.get(x ^ y ^ z, ())):
+                return 5
+    return None
 
 
 def _min_cut_over_cycle_pairs(

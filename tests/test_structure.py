@@ -204,6 +204,30 @@ def _joined_cubes():
     return build_graph(14, edges)
 
 
+def _lcf(order: int, jumps: list[int]) -> list[tuple[int, int]]:
+    """Edges of the cubic graph with LCF notation ``jumps``, repeated around the order."""
+    edges = [(v, (v + 1) % order) for v in range(order)]
+    edges += [(v, (v + jumps[v % len(jumps)]) % order) for v in range(order)]
+    return sorted({(min(e), max(e)) for e in edges})
+
+
+def _heawood():
+    return build_graph(14, _lcf(14, [5, -5]))  # girth 6
+
+
+def _mcgee():
+    return build_graph(24, _lcf(24, [12, 7, -7]))  # girth 7
+
+
+def _joined_heawoods():
+    """Two Heawood graphs minus the path 0-1-2, joined at their five loose ends."""
+    edges = _lcf(14, [5, -5])
+    half = [(a - 3, b - 3) for a, b in edges if a >= 3]
+    ends = [b - 3 for a, b in edges if a < 3 <= b]
+    edges = half + [(a + 11, b + 11) for a, b in half] + [(v, v + 11) for v in ends]
+    return build_graph(22, edges)
+
+
 @pytest.fixture
 def branch_of(monkeypatch):
     """Names the branch of ``cyclic_edge_connectivity`` that settles a graph."""
@@ -222,6 +246,7 @@ def branch_of(monkeypatch):
 
     spy("_has_cyclic_3_cut", bool)
     spy("girth", lambda value: value == 4)  # the size-4 rule reads the girth
+    spy("_cyclic_4_or_5_cut", lambda value: value is not None)
     spy("chordless_cycles", bool)
 
     def branch(graph) -> tuple[str, object]:
@@ -256,7 +281,8 @@ class TestCyclicConnectivityBranches:
         assert taken["lambda"] <= {1, 2} and taken["lambda"]
         assert taken["_has_cyclic_3_cut"] == {3}
         assert taken["girth"] == {4}
-        assert {4, 5} <= taken["pair search"]
+        assert 4 in taken["_cyclic_4_or_5_cut"]  # Blanusa 1
+        assert 5 in taken["pair search"]  # Petersen
 
     def test_boundary_cases(self, branch_of, k4, theta_graph):
         k33 = build_graph(6, [(i, j) for i in (0, 1, 2) for j in (3, 4, 5)])
@@ -267,12 +293,34 @@ class TestCyclicConnectivityBranches:
             (_prism(), "_has_cyclic_3_cut", 3),  # the cut around a triangle
             (build_graph(8, _cube()), "girth", 4),
             (_joined_cubes(), "_has_cyclic_3_cut", 3),  # triangle-free
+            (_joined_heawoods(), "_cyclic_4_or_5_cut", 5),  # girth 6
+            (_heawood(), "pair search", 6),  # stops at the bound of 6
+            (_mcgee(), "pair search", 7),  # girth 7: goes past the bound
         ]
         for graph, branch, value in cases:
             assert branch_of(graph) == (branch, value)
             assert cyclic_connectivity_by_cycle_pairs(graph) == value
         assert girth(_joined_cubes()) == 4
         assert cyclic_cut_by_subset_enumeration(_joined_cubes(), 3) == 3
+        assert (_joined_heawoods().order, girth(_joined_heawoods())) == (22, 6)
+        assert girth(_mcgee()) == 7
+
+    def test_search_stops_at_the_lower_bound(self, monkeypatch):
+        calls = []
+        real = structure._max_flow
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(structure, "_max_flow", counting)
+        # the flowers' first disjoint pair meets the bound of 6; the label
+        # rule settles both Blanusa snarks before any max-flow
+        for graph, value, flows in [(flower_snark(7), 6, 1), (flower_snark(9), 6, 1),
+                                    (blanusa(1), 4, 0), (blanusa(2), 4, 0)]:
+            calls.clear()
+            assert cyclic_edge_connectivity(graph) == value
+            assert len(calls) == flows
 
     def test_settled_graphs_never_reach_the_search(self, monkeypatch, petersen_graph):
         def refuse(graph):
@@ -282,6 +330,8 @@ class TestCyclicConnectivityBranches:
         assert cyclic_edge_connectivity(_prism()) == 3
         assert cyclic_edge_connectivity(build_graph(8, _cube())) == 4
         assert cyclic_edge_connectivity(_joined_cubes()) == 3
+        assert cyclic_edge_connectivity(blanusa(1)) == 4
+        assert cyclic_edge_connectivity(blanusa(2)) == 4
         # girth 5 and 6 leave the bracket open: the search must still run
         for graph in (petersen_graph, flower_snark(7)):
             with pytest.raises(AssertionError, match="search reached"):
