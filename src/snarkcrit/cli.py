@@ -5,8 +5,8 @@ the classification record for ``classify`` and ``stats``, the finished
 report line for the ``verify-*`` commands.  A disagreement that the library
 raises as :class:`EquivalenceViolationError` becomes a violating result
 that keeps its message, so one graph never stops the others.
-:func:`_work` parses a graph6 line and evaluates it, alone or in a process
-pool; a ``--named`` graph is built once and evaluated directly, so
+:func:`_work` parses a graph6 line and evaluates it, alone or in forked
+workers; a ``--named`` graph is built once and evaluated directly, so
 multigraph constructors work too.  :func:`_report` consumes the results of
 every command in input order, so reports do not depend on ``--jobs`` (the
 per-path timing columns aside, which ``--zero-timings`` blanks), and
@@ -24,14 +24,13 @@ equivalent pair of routes disagreed somewhere (an implementation bug).
 from __future__ import annotations
 
 import argparse
+import os
 import shlex
 import sys
-from collections import deque
 from contextlib import closing
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import islice
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NoReturn, Optional
 
 from .criticality import (
     ClassificationRecord,
@@ -175,7 +174,7 @@ def _evaluate(command: str, index: int, graph: CubicGraph) -> Result:
 
 
 def _work(command: str, item: tuple[int, str]) -> Result:
-    """Parse one graph6 line and evaluate it (top level so a pool can pickle it)."""
+    """Parse one graph6 line and evaluate it."""
     index, line = item
     result = evaluate(command, index, parse_graph6(line, line_number=index))
     return replace(result, graph6=line)
@@ -211,47 +210,130 @@ def _results(config: RunConfig) -> tuple[Iterator[Result], int]:
 
 
 def _run_pool(config: RunConfig, items: list[tuple[int, str]]) -> Iterator[Result]:
-    """Evaluate graph6 items in input order, in a process pool when ``jobs`` > 1.
+    """Evaluate graph6 items in input order, in forked workers when ``jobs`` > 1.
 
-    At most ``2 * jobs`` chunks are unfinished at any time, so closing this
-    generator early (``--fail-fast``) leaves at most that many to finish or
-    cancel.  Only unfinished chunks count: when all but ``jobs`` of them
-    have finished, the window is filled up again, even while a slow chunk
-    at its head holds back the output, so the other workers keep busy.
-    Finished chunks wait for their turn in input order.  The pool's module
-    is imported only here, so a run that starts no pool does not load
-    ``multiprocessing``.
+    The items are cut into chunks of about ``n / (4 * jobs)`` graphs, and
+    ``min(jobs, chunks)`` workers are forked, each with a task pipe and a
+    result pipe of its own.  A worker that answers gets the next chunk at
+    once, also while a slow chunk holds back the output, so at most one
+    chunk per worker is unfinished; finished chunks wait for their turn in
+    input order.  However the run ends (the last chunk, an early close for
+    ``--fail-fast``, a worker's error, an interrupt), the task pipes are
+    closed, so idle workers read end-of-file and leave, busy ones are
+    killed, and every worker is reaped.  Forking needs POSIX.  The pool's
+    modules are imported only here.
     """
     if config.jobs == 1:
         yield from map(partial(_work, config.command), items)
         return
     size = max(1, len(items) // (config.jobs * 4))
-    starts = range(0, len(items), size)
-    if not starts:
+    chunks = [items[i : i + size] for i in range(0, len(items), size)]
+    if not chunks:
         return
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    import pickle
+    import select
+    import signal
 
-    # no more workers than chunks: a forked pool starts them all at the first submit
-    jobs = min(config.jobs, len(starts))
-    chunks = (items[i : i + size] for i in starts)
-    pool = ProcessPoolExecutor(max_workers=jobs)
-    window: deque = deque()  # submitted and not yet yielded, in input order
+    # each worker is known by the read end of its result pipe
+    tasks: dict[int, int] = {}  # -> the write end of its task pipe
+    pids: dict[int, int] = {}  # -> its process id
+    busy: dict[int, int] = {}  # -> the number of the chunk it works on
+    finished: dict[int, object] = {}  # chunk number -> its answer, ahead of its turn
+    given = 0
+
+    def give(worker: int) -> None:
+        nonlocal given
+        os.write(tasks[worker], given.to_bytes(4, "little"))
+        busy[worker] = given
+        given += 1
+
     try:
-        while True:
-            while window and window[0].done():
-                yield from window.popleft().result()
-            # counted after the yields: more chunks may finish while the consumer runs
-            running = [f for f in window if not f.done()]
-            if len(running) <= jobs:
-                for chunk in islice(chunks, 2 * jobs - len(running)):
-                    future = pool.submit(_work_chunk, config.command, chunk)
-                    window.append(future)
-                    running.append(future)
-            if not window:
-                return
-            wait(running, return_when=FIRST_COMPLETED)
+        for _ in range(min(config.jobs, len(chunks))):
+            task_read, task_write = os.pipe()
+            result_read, result_write = os.pipe()
+            tasks[result_read] = task_write
+            others = [*tasks, *tasks.values()]  # every parent end, the new worker's too
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _worker(config.command, chunks, task_read, result_write, others)
+            finally:
+                os.close(task_read)
+                os.close(result_write)
+            pids[result_read] = pid
+        for worker in tasks:
+            give(worker)
+        for turn in range(len(chunks)):
+            while turn not in finished:
+                for worker in select.select(list(busy), [], [])[0]:
+                    answer = pickle.loads(_read_message(worker, pids[worker]))
+                    finished[busy.pop(worker)] = answer
+                    if given < len(chunks):
+                        give(worker)
+            answer = finished.pop(turn)
+            if isinstance(answer, tuple):  # the chunk raised: raise in its turn
+                exc, trace = answer
+                raise exc from RuntimeError(trace)
+            yield from answer
     finally:
-        pool.shutdown(cancel_futures=True)
+        for task_write in tasks.values():
+            os.close(task_write)
+        for worker in busy:
+            os.kill(pids[worker], signal.SIGKILL)
+        for pid in pids.values():
+            os.waitpid(pid, 0)
+        for worker in tasks:
+            os.close(worker)
+
+
+def _worker(
+    command: str, chunks: list, tasks: int, results: int, others: list[int]
+) -> NoReturn:
+    """The body of a forked worker; it leaves through ``os._exit`` on every path.
+
+    It closes ``others``, then reads 4-byte chunk numbers from ``tasks``
+    until end-of-file, and answers each on ``results`` with an 8-byte
+    length and a pickle of the chunk's results, or of the pair
+    ``(exception, traceback text)`` if the chunk raised.
+    """
+    import pickle
+
+    code = 1
+    try:
+        for fd in others:
+            os.close(fd)
+        while number := _read_exactly(tasks, 4):
+            chunk = chunks[int.from_bytes(number, "little")]
+            try:
+                answer = pickle.dumps(_work_chunk(command, chunk))
+            except Exception as exc:
+                import traceback
+
+                answer = pickle.dumps((exc, traceback.format_exc()))
+            message = memoryview(len(answer).to_bytes(8, "little") + answer)
+            while message:
+                message = message[os.write(results, message) :]
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _read_message(fd: int, pid: int) -> bytearray:
+    """The next length-prefixed answer of worker ``pid`` from ``fd``."""
+    head = _read_exactly(fd, 8)
+    size = int.from_bytes(head, "little")
+    body = _read_exactly(fd, size)
+    if len(head) < 8 or len(body) < size:
+        raise RuntimeError(f"pool worker {pid} exited before it answered")
+    return body
+
+
+def _read_exactly(fd: int, n: int) -> bytearray:
+    """``n`` bytes from ``fd``, or fewer if it reaches end-of-file first."""
+    data = bytearray()
+    while len(data) < n and (part := os.read(fd, n - len(data))):
+        data += part
+    return data
 
 
 def _work_chunk(command: str, chunk: list[tuple[int, str]]) -> list[Result]:

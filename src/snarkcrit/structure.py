@@ -323,10 +323,14 @@ def _min_cut_over_cycle_pairs(
 
     members = [[index[v] for v in c] for c in sorted(cycles, key=len)]
     masks = [sum(1 << x for x in c) for c in members]  # vertex bit sets
-    through = [0] * len(index)  # vertex -> bit set of the cycles through it
+    # vertex -> bit set of the cycles through it, marked bit by bit in bytes
+    # and made an int once: growing an int one bit at a time is quadratic
+    marks = [bytearray((len(members) + 7) // 8) for _ in index]
     for j, cycle in enumerate(members):
+        byte, bit = j >> 3, 1 << (j & 7)
         for x in cycle:
-            through[x] |= 1 << j
+            marks[x][byte] |= bit
+    through = [int.from_bytes(m, "little") for m in marks]
     every_cycle = (1 << len(members)) - 1
 
     best: Union[int, float] = math.inf

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import io
+import os
 import re
 import subprocess
 import sys
@@ -44,6 +45,21 @@ COINCIDE = (
     "coloring_micros= flow_micros="
 )
 CHECKED = "checked 1 graph(s), 0 violation(s)"
+
+
+def count_forks(monkeypatch) -> list[int]:
+    """The pids of the workers this process forks from now on."""
+    real_fork = os.fork
+    forked: list[int] = []
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forked
 
 
 def run_cli(**kwargs) -> tuple[int, str, str]:
@@ -514,27 +530,29 @@ class TestErrors:
     def test_pool_drops_no_chunk_that_finishes_while_the_consumer_runs(
         self, tmp_path, monkeypatch
     ):
-        # every chunk a wait was given finishes before the pool looks again,
-        # so the set of unfinished chunks that wait returned is stale
-        import concurrent.futures
-        from concurrent.futures import ALL_COMPLETED
+        # every busy worker answers before the pool looks, so one select
+        # hands back several finished chunks at once
+        import select
 
         from snarkcrit import cli
 
-        real_wait = concurrent.futures.wait
+        real_select = select.select
+        seen = []
 
-        def late_wait(fs, return_when):
-            first = real_wait(fs, return_when=return_when)
-            real_wait(fs, return_when=ALL_COMPLETED)
-            return first
+        def late_select(readers, writers, errors):
+            deadline = time.monotonic() + 30
+            ready = []
+            while len(ready) < len(readers) and time.monotonic() < deadline:
+                ready = real_select(readers, writers, errors, 0.01)[0]
+            seen.append(len(ready))
+            return ready, [], []
 
         def quick_evaluate(command, index, graph):
             time.sleep(0.01)
             return Result(index, line=f"graph {index}", pairs=45)
 
         graphs = 16
-        # the pool imports ``wait`` from its module when it starts
-        monkeypatch.setattr(concurrent.futures, "wait", late_wait)
+        monkeypatch.setattr(select, "select", late_select)
         monkeypatch.setattr(cli, "evaluate", quick_evaluate)
         path = tmp_path / "many.g6"
         path.write_text((encode_graph6(petersen()) + "\n") * graphs)
@@ -542,30 +560,91 @@ class TestErrors:
         assert code == EXIT_OK
         assert out.splitlines()[:graphs] == [f"graph {i}" for i in range(1, graphs + 1)]
         assert f"checked {graphs} graph(s)" in out
+        assert max(seen) == 2
 
     def test_pool_asks_for_no_more_workers_than_chunks(self, tmp_path, monkeypatch):
-        # a thread pool stands in for the process pool and records its size
-        import concurrent.futures
-        from concurrent.futures import ThreadPoolExecutor
-
-        asked = []
-
-        def recording_pool(max_workers):
-            asked.append(max_workers)
-            return ThreadPoolExecutor(max_workers=max_workers)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
+        # a wrapper around fork counts the workers in this process
+        forked = count_forks(monkeypatch)
         path = tmp_path / "three.g6"
         path.write_text((encode_graph6(petersen()) + "\n") * 3)
         code, out, _ = run_cli(command="classify", input_path=str(path), jobs=8)
         assert code == EXIT_OK
-        assert asked and max(asked) <= 3
+        assert 1 <= len(forked) <= 3
         assert [row.split(",")[0] for row in out.splitlines()[1:]] == ["1", "2", "3"]
 
+        forked.clear()
         empty = tmp_path / "empty.g6"
         empty.write_text("")
         code, _, _ = run_cli(command="classify", input_path=str(empty), jobs=2)
         assert code == EXIT_OK
+        assert forked == []
+
+    def test_no_worker_outlives_a_pooled_run(self, tmp_path, monkeypatch):
+        from snarkcrit import cli
+
+        def no_children():
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+
+        path = tmp_path / "many.g6"
+        path.write_text((encode_graph6(petersen()) + "\n") * 12)
+        no_children()
+
+        def quick(command, index, graph):
+            return Result(index, line=f"graph {index}", pairs=45)
+
+        monkeypatch.setattr(cli, "evaluate", quick)
+        code, out, _ = run_cli(command="verify-local", input_path=str(path), jobs=2)
+        assert code == EXIT_OK and "checked 12 graph(s)" in out
+        no_children()
+
+        # graph 1 violates at once; the workers that took the next graphs
+        # would sleep far longer than the run may take
+        def violate_first(command, index, graph):
+            if index > 1:
+                time.sleep(60)
+            return Result(index, line=f"graph {index}", violation=index == 1, pairs=45)
+
+        monkeypatch.setattr(cli, "evaluate", violate_first)
+        start = time.monotonic()
+        code, out, _ = run_cli(
+            command="verify-local", input_path=str(path), jobs=2, fail_fast=True
+        )
+        assert code == EXIT_VIOLATION and "checked 1 graph(s)" in out
+        assert time.monotonic() - start < 30
+        no_children()
+
+        def raise_on_2(command, index, graph):
+            if index == 2:
+                raise ValueError("graph 2 broke the worker")
+            return Result(index, line=f"graph {index}", pairs=45)
+
+        monkeypatch.setattr(cli, "evaluate", raise_on_2)
+        with pytest.raises(ValueError, match="graph 2 broke the worker") as info:
+            run_cli(command="verify-local", input_path=str(path), jobs=2)
+        # the worker's traceback comes along as the cause
+        assert "raise_on_2" in str(info.value.__cause__)
+        no_children()
+
+    def test_a_worker_that_raises_makes_the_run_raise(self, tmp_path):
+        # in a fresh process with a timeout, so a pool that hangs fails the test
+        path = tmp_path / "three.g6"
+        path.write_text((encode_graph6(petersen()) + "\n") * 3)
+        script = (
+            "from snarkcrit import cli\n"
+            "def broken(command, index, graph):\n"
+            "    raise ValueError(f'graph {index} broke the worker')\n"
+            "cli.evaluate = broken\n"
+            "try:\n"
+            f"    cli.main(['--input', {str(path)!r}, '--jobs', '2'])\n"
+            "except ValueError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "raised: graph 1 broke the worker\n"
 
     def test_inconsistent_line_names_the_statements(self, monkeypatch):
         deny_decision(monkeypatch, (IDENTIFICATION, VertexPair(0, 2), FLOW))
@@ -756,12 +835,7 @@ class TestEntryPoint:
         assert main(["--named", "k4", "--command", "classify"]) == EXIT_OK
 
     def test_bad_jobs_is_a_usage_error(self, monkeypatch, capsys):
-        import concurrent.futures
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was started")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        forked = count_forks(monkeypatch)
         for jobs in ("0", "-3"):
             with pytest.raises(SystemExit) as info:
                 main(["--named", "petersen", "--jobs", jobs])
@@ -769,6 +843,7 @@ class TestEntryPoint:
             err = capsys.readouterr().err
             assert err.startswith("usage: ")
             assert "jobs must be at least 1" in err
+        assert forked == []
 
     def test_console_script(self, corpus_path):
         proc = subprocess.run(
@@ -781,17 +856,24 @@ class TestEntryPoint:
         assert "45 pairs consistent" in proc.stdout
 
     def test_runs_without_a_pool_do_not_load_multiprocessing(self, tmp_path):
+        # nor does a pooled run: its workers are forked over plain pipes
         empty = tmp_path / "empty.g6"
         empty.write_text("")
+        three = tmp_path / "three.g6"
+        three.write_text((encode_graph6(petersen()) + "\n") * 3)
         script = (
             "import sys\n"
             "from snarkcrit.cli import main\n"
             "assert main(['--named', 'petersen', '--jobs', '1']) == 0\n"
             f"assert main(['--input', {str(empty)!r}, '--jobs', '2', '--zero-timings']) == 0\n"
-            "print('multiprocessing' in sys.modules)\n"
+            f"assert main(['--input', {str(three)!r}, '--jobs', '2', '--zero-timings']) == 0\n"
+            "print([m in sys.modules for m in ('multiprocessing', 'concurrent.futures')])\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "False"
+        lines = proc.stdout.splitlines()
+        # the pooled run's three rows, then the modules
+        assert [row.split(",")[0] for row in lines[-4:-1]] == ["1", "2", "3"]
+        assert lines[-1] == "[False, False]"
