@@ -90,6 +90,8 @@ class RunConfig:
             raise ValueError("exactly one of input_path and named must be given")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
+        if self.max_order is not None and self.max_order < 0:
+            raise ValueError("max_order must not be negative")
 
 
 # ----------------------------------------------------------------------

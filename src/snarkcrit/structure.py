@@ -8,21 +8,18 @@ edge whose label is zero.  Girth is a BFS from every vertex.
 Cyclic edge-connectivity is the smallest number of edges whose removal
 leaves at least two components that each contain a cycle; it is undefined
 for graphs without two vertex-disjoint cycles.  For a connected cubic graph
-it is settled where it can be from the labels.  A zero label (a bridge) or
-two equal labels (a 2-edge cut) give the answer 1 or 2.  Otherwise the
-graph is simple or the theta graph, and three labels with XOR zero on
-edges that do not all meet at one vertex are a cyclic 3-cut.  Failing
-that, girth 4 settles the answer at 4 once the order is at least 8.  At
-girth 5 and more, a zero-XOR set of 4 or 5 edges is a bond, and once no
-smaller cyclic cut exists it is a cyclic cut exactly when no two of its
-edges meet; otherwise one side, the two ends of an edge or a path of
-three vertices, holds no cycle.  5-sets are looked for from girth 6 on.
-The rest get the exhaustive search, which pairs up chordless cycles
-(loops count as 1-cycles, parallel pairs as 2-cycles) and takes the
-minimum edge cut separating any vertex-disjoint pair, found by augmenting
-paths with both cycles contracted.  It stops at the first pair whose cut
-meets the proven lower bound: 4 below girth 5, else the girth capped at
-6.  Every cycle-containing side of a cut contains a chordless cycle, so
+it is settled where it can be from the labels.  A bridge or two equal
+labels (a 2-edge cut) give the answer 1 or 2.  Otherwise the answer is
+the smallest k in 3..5 for which k edges, no two of them meeting, have
+labels that XOR to zero, when there is one; 5-sets are looked for from
+girth 6 on.  This one rule also settles 4 at girth 4 from order 8 on,
+where the four edges leaving a 4-cycle are such a set.  The rest get the
+exhaustive search, which pairs up chordless cycles (loops count as
+1-cycles, parallel pairs as 2-cycles) and takes the minimum edge cut
+separating any vertex-disjoint pair, found by augmenting paths with both
+cycles contracted.  It stops at the first pair whose cut meets the
+proven lower bound: the girth, at least 4 and capped at 6.  Every
+cycle-containing side of a cut contains a chordless cycle, so
 scanning all chordless-cycle pairs is exact.  It still lists every
 chordless cycle, whose number grows exponentially with the order, and
 from girth 7 on the bound may stay below the answer.  The tests check
@@ -42,7 +39,6 @@ from .multigraph import DANGLING, CubicGraph, Edge, GraphError
 
 @dataclass(frozen=True)
 class StructureProfile:
-    bridge_count: int
     girth: Union[int, float]  # math.inf for forests
     cyclic_edge_connectivity: Optional[int]  # None when undefined or not computed
 
@@ -51,20 +47,14 @@ def structure_profile(graph: CubicGraph) -> StructureProfile:
     """Collect the diagnostics; cyclic connectivity only where it is defined.
 
     For non-cubic or disconnected input the cyclic-connectivity slot is None
-    (the dedicated function refuses such graphs loudly instead).  The
-    cycle-space labels are built once, for the cuts and the bridges, and
-    the girth once, for the profile and the cuts.
+    (the dedicated function refuses such graphs loudly instead).  The girth
+    is computed once, for the profile and the cuts.
     """
-    labels = _cycle_labels(graph)
     shortest = girth(graph)
     cec: Optional[int] = None
     if graph.is_cubic and graph.is_connected and not graph.has_dangling:
-        cec = cyclic_edge_connectivity(graph, labels=labels, shortest=shortest)
-    return StructureProfile(
-        bridge_count=len(find_bridges(graph, labels=labels)),
-        girth=shortest,
-        cyclic_edge_connectivity=cec,
-    )
+        cec = cyclic_edge_connectivity(graph, shortest=shortest)
+    return StructureProfile(girth=shortest, cyclic_edge_connectivity=cec)
 
 
 def girth(graph: CubicGraph) -> Union[int, float]:
@@ -119,20 +109,16 @@ def find_bridges(
 
 
 def cyclic_edge_connectivity(
-    graph: CubicGraph,
-    *,
-    labels: Optional[dict[int, int]] = None,
-    shortest: Union[int, float, None] = None,
+    graph: CubicGraph, *, shortest: Union[int, float, None] = None
 ) -> Optional[int]:
     """Minimum cyclic edge cut size for a connected cubic graph, or None.
 
     None means no two vertex-disjoint cycles exist, so no cut can separate
-    two cycle-containing parts.  Non-cubic input is refused.  ``labels`` is
-    ``_cycle_labels(graph)`` and ``shortest`` is ``girth(graph)`` when the
-    caller has them already.
+    two cycle-containing parts.  Non-cubic input is refused.  ``shortest``
+    is ``girth(graph)`` when the caller has it already.
 
-    The cuts of size 1 to 5 are read off cycle-space labels, girth 4
-    settles 4, and only the rest is searched for:
+    The cuts of size 1 to 5 are read off cycle-space labels, and only the
+    rest is searched for:
 
     * Cuts of size 1 and 2.  A cyclic cut disconnects the graph, so it has
       at least lambda edges, the edge-connectivity.  A zero label is a
@@ -142,46 +128,34 @@ def cyclic_edge_connectivity(
       holds for k = 1 and, as 3|S| - k is even, for k = 2.  A multigraph
       with at least as many edges as vertices holds a cycle, loops and
       parallel pairs included, so both sides of a minimum cut hold one.
-    * Cuts of size 3.  Now lambda = 3 (the edges at a vertex form a cut),
+    * Sizes 3 to 5.  Now lambda = 3 (the edges at a vertex form a cut),
       which rules out loops and parallel edges except in the theta graph,
-      as either would give a smaller cut.  Three edges whose labels XOR to
-      zero form a cut; each nonempty cut has at least 3 edges, so this one
-      is a bond and both of its sides are connected.  If the three edges
-      do not all meet at one vertex, neither side is a single vertex, and
-      no side has 2 vertices, since (3|S| - 3) / 2 must be a whole number.
-      So both sides have |S| >= 3 vertices and span at least |S| edges:
-      both hold a cycle and the cut is a cyclic 3-cut.  Conversely each
-      component left by a cyclic 3-cut is bounded by at least 3 of its 3
-      edges, so there are two, the three edges run between them and they
-      are such a triple.  The third edge of a pair is one dictionary
-      lookup by label, so all triples cost O(m^2).
-    * Size 4.  With no cyclic cut below 4 and order n >= 8, girth 4 gives
-      the answer 4.  The graph is simple, and it has no triangle: the
-      three edges leaving a triangle would be a cyclic 3-cut, as they
-      meet at one vertex only in K4.  So girth 4 means a 4-cycle Q.  A
-      chord of Q would leave at most 2 edges in delta(Q), so it has 4 and
-      G - Q has n - 4 vertices and (3(n - 4) - 4) / 2 edges, at least
-      n - 4 once n >= 8.  Both sides hold a cycle.
-    * Sizes 4 and 5 at girth g >= 5.  The graph is simple with lambda = 3
-      and n >= 10.  A zero-XOR set of k = 4 or 5 edges is a cut that
-      cannot split into smaller cuts, as each would need 3 edges, so it
-      is a bond and both of its sides are connected.  A side S spans
-      (3|S| - k) / 2 edges, so it holds a cycle exactly when |S| >= k;
-      a smaller side is a tree (at girth >= 5 an edge for k = 4, a path
-      of three vertices for k = 5), and a leaf of it meets two edges of
-      the bond.  Conversely, if two edges of the bond meet at u in S,
-      moving u to the other side leaves a bond of k - 1 edges.  No
-      cyclic cut has k - 1 edges, so one of its sides has fewer than
-      k - 1 vertices, and S or the other side fewer than k.  So, once no
-      smaller cyclic cut exists, a zero-XOR k-set is a cyclic cut exactly
-      when no two of its edges meet, as for k = 3.  Two pairs of labels
-      with one XOR give the 4-sets, and a triple whose XOR is that of a
-      pair gives the 5-sets, which are looked for only at g >= 6: at
-      g = 5 a 5-cycle already bounds the answer by 5.
+      as either would give a smaller cut.  A set of k = 3, 4 or 5 edges
+      whose labels XOR to zero is a cut that cannot split into smaller
+      cuts, as each would need 3 edges, so it is a bond and both of its
+      sides are connected.  A side S spans (3|S| - k) / 2 edges, so it
+      holds a cycle exactly when |S| >= k; a smaller side is a vertex, an
+      edge or a path of three vertices, and one of its vertices meets two
+      edges of the bond.  Conversely, if two edges of a bond meet at u in
+      S, moving u to the other side leaves a set of k - 1 edges.  No cut
+      has 2 edges and no cyclic cut has k - 1, so S is {u} or that set
+      has a side with fewer than k - 1 vertices, and S or the other side
+      has fewer than k.  So, once no smaller cyclic cut exists, a zero-XOR
+      k-set is a cyclic cut exactly when no two of its edges meet.  At
+      girth 4 and n >= 8 this settles 4 when no cyclic 3-cut exists: a
+      4-cycle Q has no chord, which would close a triangle, and the four
+      edges leaving Q share no end, as an end w shared by two of them
+      would make Q plus w one side of a cut of at most 3 edges whose
+      other side has n - 5 >= 3 vertices.  The third edge of a 3-set is
+      one dictionary lookup by label, and a table of the pairs that do
+      not meet, by the XOR of their labels, gives the 4-sets as two pairs
+      in one entry and the 5-sets as a triple whose XOR is that of a
+      pair.  5-sets are looked for only at g >= 6: at g = 5 a 5-cycle
+      already bounds the answer by 5.
     * Otherwise every disjoint pair of chordless cycles gets a max-flow,
       capped at the best cut so far, and the search stops at the first
-      cut that meets the lower bound: 4, or min(g, 6) once sizes 4 and 5
-      are ruled out at g >= 5.  Every cycle-containing side of a cut
+      cut that meets the lower bound min(max(g, 4), 6), as the label rule
+      rules out every size below it.  Every cycle-containing side of a cut
       holds a chordless cycle, so the minimum over all pairs is exact.
       The search lists every chordless cycle first, and their number
       grows exponentially with the order.  From girth 7 on the answer
@@ -192,27 +166,22 @@ def cyclic_edge_connectivity(
     if not graph.is_connected:
         raise GraphError("cyclic edge-connectivity needs a connected graph")
 
-    if labels is None:
-        labels = _cycle_labels(graph)
-    by_label: dict[int, Edge] = {}  # equal labels keep the first edge
-    for eid, label in labels.items():
-        by_label.setdefault(label, graph.edge(eid))
-    if 0 in by_label:  # also with any loop, as the other edge at its vertex is a bridge
+    labels = _cycle_labels(graph)
+    # also with a loop, as the other edge at its vertex is a bridge
+    if find_bridges(graph, labels=labels):
         return 1
-    if len(by_label) < len(graph.edges):  # two edges share a label
+    ends: dict[int, int] = {}  # label -> its edge's end bits; equal labels keep the first
+    for eid, label in labels.items():
+        e = graph.edge(eid)
+        ends.setdefault(label, 1 << e.a | 1 << e.b)
+    if len(ends) < len(graph.edges):  # two edges share a label
         return 2
-    if _has_cyclic_3_cut(by_label):
-        return 3
     if shortest is None:
         shortest = girth(graph)
-    if graph.order >= 8 and shortest == 4:
-        return 4
-    lower = 4
-    if shortest >= 5:
-        found = _cyclic_4_or_5_cut(by_label, shortest >= 6)
-        if found is not None:
-            return found
-        lower = min(shortest, 6)
+    found = _smallest_label_cut(ends, shortest >= 6)
+    if found is not None:
+        return found
+    lower = min(max(shortest, 4), 6)
     return _min_cut_over_cycle_pairs(graph, chordless_cycles(graph), lower)
 
 
@@ -259,45 +228,33 @@ def _cycle_labels(graph: CubicGraph) -> dict[int, int]:
     return labels
 
 
-def _has_cyclic_3_cut(labels: dict[int, Edge]) -> bool:
-    """Whether three edges with labels XOR zero do not all meet at one vertex.
+def _smallest_label_cut(ends: dict[int, int], look_for_5: bool) -> Optional[int]:
+    """Smallest k in 3..5 for k edges, no two meeting, with labels XOR zero; else None.
 
-    ``labels`` maps distinct nonzero labels to their edges; the third edge
-    of each pair is the one labelled with the XOR of the pair's labels.
+    ``ends`` maps distinct nonzero labels to the end bits of their edges.
+    The third edge of a 3-set is one lookup of the XOR of the other two.
+    For 4- and 5-sets, one table maps the XOR of the labels of each pair of
+    edges that do not meet to the end bits of such pairs; two different
+    pairs with one XOR share no edge.  A 4-set is two pairs in one entry
+    and a 5-set a triple whose XOR has a pair in the table, when all their
+    ends differ.  5-sets are looked for only when ``look_for_5``.
     """
-    items = list(labels.items())
-    for i, (x, e) in enumerate(items):
-        ends = {e.a, e.b}
-        for y, f in items[i + 1 :]:
-            g = labels.get(x ^ y)
-            if g is not None and not ends.intersection((f.a, f.b), (g.a, g.b)):
-                return True
-    return False
-
-
-def _cyclic_4_or_5_cut(labels: dict[int, Edge], look_for_5: bool) -> Optional[int]:
-    """4 or 5 for that many edges with labels XOR zero, no two meeting; else None.
-
-    ``labels`` maps distinct nonzero labels to their edges.  One table maps
-    the XOR of the labels of each pair of edges that do not meet to the
-    end bits of such pairs; two different pairs with one XOR share no
-    edge.  A 4-set is two pairs in one entry and a 5-set a triple whose
-    XOR has a pair in the table, when all their ends differ.  5-sets are
-    looked for only when ``look_for_5``.
-    """
-    items = [(x, 1 << e.a | 1 << e.b) for x, e in labels.items()]  # label, end bits
+    for (x, s), (y, t) in combinations(ends.items(), 2):
+        u = ends.get(x ^ y)
+        if u is not None and not (s & t or (s | t) & u):
+            return 3
     pairs: dict[int, list[int]] = {}
-    for (x, s), (y, t) in combinations(items, 2):
+    for (x, s), (y, t) in combinations(ends.items(), 2):
         if not s & t:
             entry = pairs.setdefault(x ^ y, [])
-            if any(not (s | t) & ends for ends in entry):
+            if any(not (s | t) & other for other in entry):
                 return 4
             entry.append(s | t)
     if not look_for_5:
         return None
-    for (x, s), (y, t), (z, u) in combinations(items, 3):
+    for (x, s), (y, t), (z, u) in combinations(ends.items(), 3):
         if not (s & t or (s | t) & u):
-            if any(not (s | t | u) & ends for ends in pairs.get(x ^ y ^ z, ())):
+            if any(not (s | t | u) & other for other in pairs.get(x ^ y ^ z, ())):
                 return 5
     return None
 

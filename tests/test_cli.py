@@ -83,6 +83,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             RunConfig(command="classify", named="petersen", jobs=0)
 
+    def test_rejects_negative_max_order(self):
+        with pytest.raises(ValueError, match="max_order must not be negative"):
+            RunConfig(command="stats", named="petersen", max_order=-1)
+        assert RunConfig(command="stats", named="petersen", max_order=0).max_order == 0
+
     @pytest.mark.parametrize("command", ["classify", "stats"])
     def test_rejects_unknown_format(self, command):
         # before any graph is evaluated, for stats too, which never serializes
@@ -844,6 +849,18 @@ class TestEntryPoint:
             assert err.startswith("usage: ")
             assert "jobs must be at least 1" in err
         assert forked == []
+
+    def test_negative_max_order_is_a_usage_error(self, capsys, corpus_path):
+        for argv in (["--named", "petersen", "--command", "stats", "--max-order", "-1"],
+                     ["--input", str(corpus_path), "--command", "verify-local",
+                      "--max-order", "-5"]):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("usage: ")
+            assert "max_order must not be negative" in captured.err
+            assert captured.out == ""
 
     def test_console_script(self, corpus_path):
         proc = subprocess.run(

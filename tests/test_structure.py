@@ -244,9 +244,7 @@ def branch_of(monkeypatch):
 
         monkeypatch.setattr(structure, name, wrapper)
 
-    spy("_has_cyclic_3_cut", bool)
-    spy("girth", lambda value: value == 4)  # the size-4 rule reads the girth
-    spy("_cyclic_4_or_5_cut", lambda value: value is not None)
+    spy("_smallest_label_cut", lambda value: value is not None)
     spy("chordless_cycles", bool)
 
     def branch(graph) -> tuple[str, object]:
@@ -274,14 +272,18 @@ class TestCyclicConnectivityBranches:
         graphs += random_cubic_multigraphs(40, (6, 8, 10), seed=9)
         graphs += [petersen_graph, blanusa(1)]  # girth 5: cyclic connectivity 5 and 4
         taken = {}
+        by_labels = set()  # (girth, value) of the graphs the label rule settles
         for g in graphs:
             branch, value = branch_of(g)
             taken.setdefault(branch, set()).add(value)
+            if branch == "_smallest_label_cut":
+                by_labels.add((girth(g), value))
             assert value == cyclic_connectivity_by_cycle_pairs(g)
         assert taken["lambda"] <= {1, 2} and taken["lambda"]
-        assert taken["_has_cyclic_3_cut"] == {3}
-        assert taken["girth"] == {4}
-        assert 4 in taken["_cyclic_4_or_5_cut"]  # Blanusa 1
+        assert taken["_smallest_label_cut"] == {3, 4}
+        assert {(3, 3), (4, 3)} <= by_labels  # a cyclic 3-cut with and without a triangle
+        assert (4, 4) in by_labels  # the edges leaving a 4-cycle
+        assert (5, 4) in by_labels  # Blanusa 1
         assert 5 in taken["pair search"]  # Petersen
 
     def test_boundary_cases(self, branch_of, k4, theta_graph):
@@ -290,10 +292,10 @@ class TestCyclicConnectivityBranches:
             (k4, "pair search", None),
             (theta_graph, "pair search", None),
             (k33, "pair search", None),  # order 6, girth 4
-            (_prism(), "_has_cyclic_3_cut", 3),  # the cut around a triangle
-            (build_graph(8, _cube()), "girth", 4),
-            (_joined_cubes(), "_has_cyclic_3_cut", 3),  # triangle-free
-            (_joined_heawoods(), "_cyclic_4_or_5_cut", 5),  # girth 6
+            (_prism(), "_smallest_label_cut", 3),  # the cut around a triangle
+            (build_graph(8, _cube()), "_smallest_label_cut", 4),  # around a 4-cycle
+            (_joined_cubes(), "_smallest_label_cut", 3),  # triangle-free
+            (_joined_heawoods(), "_smallest_label_cut", 5),  # girth 6
             (_heawood(), "pair search", 6),  # stops at the bound of 6
             (_mcgee(), "pair search", 7),  # girth 7: goes past the bound
         ]
@@ -337,6 +339,27 @@ class TestCyclicConnectivityBranches:
             with pytest.raises(AssertionError, match="search reached"):
                 cyclic_edge_connectivity(graph)
 
+    def test_girth_4_settles_without_the_search(self, monkeypatch):
+        # from order 8 on, the four edges leaving a 4-cycle share no end
+        # unless a cyclic 3-cut exists, so the label rule answers at most 4
+        graphs = [build_graph(8, _cube())]
+        for order in range(8, 26, 2):
+            graphs += [g for g in random_cubic_graphs(20, (order,), seed=order)
+                       if girth(g) == 4]
+        expected = [cyclic_connectivity_by_cycle_pairs(g) for g in graphs]
+
+        def refuse(graph):
+            raise AssertionError("chordless-cycle search reached")
+
+        monkeypatch.setattr(structure, "chordless_cycles", refuse)
+        assert [cyclic_edge_connectivity(g) for g in graphs] == expected
+        assert set(expected) <= {1, 2, 3, 4} and expected.count(4) >= 30
+        k33 = build_graph(6, [(i, j) for i in (0, 1, 2) for j in (3, 4, 5)])
+        with pytest.raises(AssertionError, match="search reached"):
+            cyclic_edge_connectivity(k33)  # order 6: the edges leaving a 4-cycle meet
+        monkeypatch.undo()
+        assert cyclic_edge_connectivity(k33) is None
+
 
 class TestChordlessCycles:
     def test_petersen_counts(self, petersen_graph):
@@ -352,7 +375,7 @@ class TestChordlessCycles:
 class TestProfile:
     def test_petersen(self, petersen_graph):
         p = structure_profile(petersen_graph)
-        assert petersen_graph.is_connected and p.bridge_count == 0
+        assert petersen_graph.is_connected and find_bridges(petersen_graph) == ()
         assert p.girth == 5 and p.cyclic_edge_connectivity == 5
 
     def test_non_cubic_gets_none(self):
@@ -362,7 +385,7 @@ class TestProfile:
         assert p.girth == math.inf
 
     def test_girth_is_computed_once(self, monkeypatch):
-        # the cube reaches the size-4 rule, which reads the profile's girth
+        # the cube reaches the label rule, which reads the profile's girth
         calls = []
         real = structure.girth
 
@@ -374,6 +397,23 @@ class TestProfile:
         p = structure_profile(build_graph(8, _cube()))
         assert (p.girth, p.cyclic_edge_connectivity) == (4, 4)
         assert len(calls) == 1
+
+    def test_bridges_are_asked_once(self, monkeypatch, petersen_graph, bridged_snark):
+        # the only bridge test, and a site the benchmark's tracer requires
+        calls = []
+        real = structure.find_bridges
+
+        def counting(graph, **kwargs):
+            calls.append(graph)
+            return real(graph, **kwargs)
+
+        monkeypatch.setattr(structure, "find_bridges", counting)
+        for graph, value in [(petersen_graph, 5), (build_graph(8, _cube()), 4),
+                             (flower_snark(7), 6), (bridged_snark, 1)]:
+            calls.clear()
+            assert structure_profile(graph).cyclic_edge_connectivity == value
+            assert calls == [graph]
+        assert len(real(bridged_snark)) == 1
 
 
 @given(multigraphs(max_vertices=7, max_edges=10))
