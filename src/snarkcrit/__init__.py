@@ -24,7 +24,6 @@ from .criticality import (
     is_critical,
     is_snark,
     is_strong,
-    pair_status,
     snark_status,
     strong_certificate,
     verify_classifier_coincidence,

@@ -30,7 +30,7 @@ import sys
 from contextlib import closing
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Iterable, Iterator, NoReturn, Optional
+from typing import BinaryIO, Iterable, Iterator, NoReturn, Optional
 
 from .criticality import (
     ClassificationRecord,
@@ -86,6 +86,8 @@ class RunConfig:
             raise ValueError(f"unknown command {self.command!r}")
         if self.format not in FORMATS:
             raise ValueError(f"unknown format {self.format!r}")
+        if self.format != "csv" and self.command not in ("classify", "stats"):
+            raise ValueError("format applies only to classify and stats")
         if (self.input_path is None) == (self.named is None):
             raise ValueError("exactly one of input_path and named must be given")
         if self.jobs < 1:
@@ -215,13 +217,16 @@ def _run_pool(config: RunConfig, items: list[tuple[int, str]]) -> Iterator[Resul
     """Evaluate graph6 items in input order, in forked workers when ``jobs`` > 1.
 
     The items are cut into chunks of about ``n / (4 * jobs)`` graphs, and
-    ``min(jobs, chunks)`` workers are forked, each with a task pipe and a
-    result pipe of its own.  A worker that answers gets the next chunk at
-    once, also while a slow chunk holds back the output, so at most one
-    chunk per worker is unfinished; finished chunks wait for their turn in
-    input order.  However the run ends (the last chunk, an early close for
-    ``--fail-fast``, a worker's error, an interrupt), the task pipes are
-    closed, so idle workers read end-of-file and leave, busy ones are
+    ``min(jobs, chunks)`` workers are forked.  Each reads 4-byte chunk
+    numbers from a task pipe and answers each with one pickle on a result
+    pipe; a pickle marks its own end, and a worker that leaves without a
+    whole answer makes the run raise ``RuntimeError``.  A worker that
+    answers gets the next chunk at once, also while a slow chunk holds back
+    the output, so at most one chunk per worker is unfinished and at most
+    one answer per worker is in flight; finished chunks wait for their turn
+    in input order.  However the run ends (the last chunk, an early close
+    for ``--fail-fast``, a worker's error, an interrupt), the task pipes
+    are closed, so idle workers read end-of-file and leave, busy ones are
     killed, and every worker is reaped.  Forking needs POSIX.  The pool's
     modules are imported only here.
     """
@@ -236,14 +241,17 @@ def _run_pool(config: RunConfig, items: list[tuple[int, str]]) -> Iterator[Resul
     import select
     import signal
 
-    # each worker is known by the read end of its result pipe
-    tasks: dict[int, int] = {}  # -> the write end of its task pipe
-    pids: dict[int, int] = {}  # -> its process id
-    busy: dict[int, int] = {}  # -> the number of the chunk it works on
+    # each worker is known by a buffered reader of its result pipe; select
+    # may watch a buffered reader because its buffer is empty whenever
+    # select runs: a worker sends one answer per chunk number, and the
+    # parent sends the next number only after it has read the last answer
+    tasks: dict[BinaryIO, int] = {}  # -> the write end of its task pipe
+    pids: dict[BinaryIO, int] = {}  # -> its process id
+    busy: dict[BinaryIO, int] = {}  # -> the number of the chunk it works on
     finished: dict[int, object] = {}  # chunk number -> its answer, ahead of its turn
     given = 0
 
-    def give(worker: int) -> None:
+    def give(worker: BinaryIO) -> None:
         nonlocal given
         os.write(tasks[worker], given.to_bytes(4, "little"))
         busy[worker] = given
@@ -253,8 +261,10 @@ def _run_pool(config: RunConfig, items: list[tuple[int, str]]) -> Iterator[Resul
         for _ in range(min(config.jobs, len(chunks))):
             task_read, task_write = os.pipe()
             result_read, result_write = os.pipe()
-            tasks[result_read] = task_write
-            others = [*tasks, *tasks.values()]  # every parent end, the new worker's too
+            worker = os.fdopen(result_read, "rb")
+            tasks[worker] = task_write
+            # every parent end, the new worker's too
+            others = [*(w.fileno() for w in tasks), *tasks.values()]
             try:
                 pid = os.fork()
                 if pid == 0:
@@ -262,13 +272,18 @@ def _run_pool(config: RunConfig, items: list[tuple[int, str]]) -> Iterator[Resul
             finally:
                 os.close(task_read)
                 os.close(result_write)
-            pids[result_read] = pid
+            pids[worker] = pid
         for worker in tasks:
             give(worker)
         for turn in range(len(chunks)):
             while turn not in finished:
                 for worker in select.select(list(busy), [], [])[0]:
-                    answer = pickle.loads(_read_message(worker, pids[worker]))
+                    try:
+                        answer = pickle.load(worker)
+                    except (EOFError, pickle.UnpicklingError):
+                        raise RuntimeError(
+                            f"pool worker {pids[worker]} exited before it answered"
+                        )
                     finished[busy.pop(worker)] = answer
                     if given < len(chunks):
                         give(worker)
@@ -285,7 +300,7 @@ def _run_pool(config: RunConfig, items: list[tuple[int, str]]) -> Iterator[Resul
         for pid in pids.values():
             os.waitpid(pid, 0)
         for worker in tasks:
-            os.close(worker)
+            worker.close()
 
 
 def _worker(
@@ -294,9 +309,12 @@ def _worker(
     """The body of a forked worker; it leaves through ``os._exit`` on every path.
 
     It closes ``others``, then reads 4-byte chunk numbers from ``tasks``
-    until end-of-file, and answers each on ``results`` with an 8-byte
-    length and a pickle of the chunk's results, or of the pair
-    ``(exception, traceback text)`` if the chunk raised.
+    until end-of-file (the parent writes each number whole, and a pipe
+    write that small is atomic), and answers each on ``results`` with one
+    pickle of the chunk's results, or of the pair ``(exception, traceback
+    text)`` if the chunk raised.  A chunk is pickled in full before any
+    byte is written, so a result that cannot be pickled comes back as its
+    exception and no half-written answer reaches the pipe.
     """
     import pickle
 
@@ -304,42 +322,20 @@ def _worker(
     try:
         for fd in others:
             os.close(fd)
-        while number := _read_exactly(tasks, 4):
+        out = os.fdopen(results, "wb")
+        while number := os.read(tasks, 4):
             chunk = chunks[int.from_bytes(number, "little")]
             try:
-                answer = pickle.dumps(_work_chunk(command, chunk))
+                answer = pickle.dumps([_work(command, item) for item in chunk])
             except Exception as exc:
                 import traceback
 
                 answer = pickle.dumps((exc, traceback.format_exc()))
-            message = memoryview(len(answer).to_bytes(8, "little") + answer)
-            while message:
-                message = message[os.write(results, message) :]
+            out.write(answer)
+            out.flush()
         code = 0
     finally:
         os._exit(code)
-
-
-def _read_message(fd: int, pid: int) -> bytearray:
-    """The next length-prefixed answer of worker ``pid`` from ``fd``."""
-    head = _read_exactly(fd, 8)
-    size = int.from_bytes(head, "little")
-    body = _read_exactly(fd, size)
-    if len(head) < 8 or len(body) < size:
-        raise RuntimeError(f"pool worker {pid} exited before it answered")
-    return body
-
-
-def _read_exactly(fd: int, n: int) -> bytearray:
-    """``n`` bytes from ``fd``, or fewer if it reaches end-of-file first."""
-    data = bytearray()
-    while len(data) < n and (part := os.read(fd, n - len(data))):
-        data += part
-    return data
-
-
-def _work_chunk(command: str, chunk: list[tuple[int, str]]) -> list[Result]:
-    return [_work(command, item) for item in chunk]
 
 
 def _reproduce(config: RunConfig, graph6: Optional[str]) -> str:

@@ -416,18 +416,6 @@ class PairReport:
         return len(set(self.statements().values())) <= 1
 
 
-def pair_status(
-    graph: CubicGraph, pair: VertexPair, *, table: Optional[DecisionTable] = None
-) -> PairReport:
-    """Evaluate every applicable statement for one pair of a snark.
-
-    Each statement runs through its own decision path; one the table already
-    holds is read, not decided again.  Refuses non-snarks, whose pairs the
-    equivalence says nothing about.
-    """
-    return _pair_report(_snark_table(graph, table), pair)
-
-
 def _pair_report(table: DecisionTable, pair: VertexPair) -> PairReport:
     """Decide the pair's statements in a fixed order, so hints repeat.
 

@@ -94,6 +94,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown format 'xml'"):
             RunConfig(command=command, named="petersen", format="xml")
 
+    @pytest.mark.parametrize(
+        "command", ["verify-local", "verify-coincidence", "verify-strong"]
+    )
+    def test_rejects_a_format_for_the_verify_commands(self, command):
+        # their report lines are plain text; only the default is accepted
+        with pytest.raises(ValueError, match="applies only to classify and stats"):
+            RunConfig(command=command, named="petersen", format="jsonl")
+        assert RunConfig(command=command, named="petersen").format == "csv"
+
 
 class TestClassify:
     def test_named_petersen(self):
@@ -651,6 +660,80 @@ class TestErrors:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "raised: graph 1 broke the worker\n"
 
+    def test_a_worker_that_exits_without_answering_makes_the_run_raise(self, tmp_path):
+        # in a fresh process with a timeout, so a pool that hangs fails the test
+        path = tmp_path / "three.g6"
+        path.write_text((encode_graph6(petersen()) + "\n") * 3)
+        script = (
+            "import os\n"
+            "from snarkcrit import cli\n"
+            "def leave(command, index, graph):\n"
+            "    os._exit(1)\n"
+            "cli.evaluate = leave\n"
+            "try:\n"
+            f"    cli.main(['--input', {str(path)!r}, '--jobs', '2'])\n"
+            "except RuntimeError as exc:\n"
+            "    print('raised:', exc)\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "except ChildProcessError:\n"
+            "    print('no child left')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert re.fullmatch(
+            r"raised: pool worker \d+ exited before it answered\nno child left\n",
+            proc.stdout,
+        )
+
+    def test_a_result_that_cannot_be_pickled_raises_in_its_turn(self, tmp_path):
+        # graph 3's result holds a lock; the graphs before it are reported,
+        # none after it, and the run raises the pickling error
+        path = tmp_path / "four.g6"
+        path.write_text((encode_graph6(petersen()) + "\n") * 4)
+        script = (
+            "import threading\n"
+            "from snarkcrit import cli\n"
+            "def quick(command, index, graph):\n"
+            "    line = threading.Lock() if index == 3 else f'graph {index}'\n"
+            "    return cli.Result(index, line=line)\n"
+            "cli.evaluate = quick\n"
+            "try:\n"
+            f"    cli.main(['--input', {str(path)!r}, '--jobs', '2',\n"
+            "              '--command', 'verify-local'])\n"
+            "except TypeError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert re.fullmatch(
+            r"graph 1\ngraph 2\nraised: cannot pickle '_thread.lock' object\n",
+            proc.stdout,
+        )
+
+    def test_an_answer_larger_than_a_pipe_buffer_arrives_whole(
+        self, tmp_path, monkeypatch
+    ):
+        # a pipe holds 64 KiB, so these answers reach the parent in pieces
+        from snarkcrit import cli
+
+        path = tmp_path / "four.g6"
+        path.write_text((encode_graph6(petersen()) + "\n") * 4)
+
+        def long_line(command, index, graph):
+            return Result(index, line=f"graph {index} " + "x" * 1_000_000)
+
+        monkeypatch.setattr(cli, "evaluate", long_line)
+        code, out, _ = run_cli(command="verify-local", input_path=str(path), jobs=2)
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        assert [len(line) for line in lines[:4]] == [1_000_008] * 4
+        assert [line.split()[1] for line in lines[:4]] == ["1", "2", "3", "4"]
+
     def test_inconsistent_line_names_the_statements(self, monkeypatch):
         deny_decision(monkeypatch, (IDENTIFICATION, VertexPair(0, 2), FLOW))
         code, out, _ = run_cli(command="verify-local", named="petersen")
@@ -861,6 +944,16 @@ class TestEntryPoint:
             assert captured.err.startswith("usage: ")
             assert "max_order must not be negative" in captured.err
             assert captured.out == ""
+
+    def test_jsonl_for_a_verify_command_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--named", "petersen", "--command", "verify-local",
+                  "--format", "jsonl"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: ")
+        assert "format applies only to classify and stats" in captured.err
+        assert captured.out == ""
 
     def test_console_script(self, corpus_path):
         proc = subprocess.run(

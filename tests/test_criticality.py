@@ -27,7 +27,6 @@ from snarkcrit.criticality import (
     is_critical,
     is_snark,
     is_strong,
-    pair_status,
     snark_status,
     strong_certificate,
     verify_classifier_coincidence,
@@ -73,10 +72,15 @@ class TestIsSnark:
         assert snark_status(build_graph(0, [])).reason == "empty graph"
 
 
+def report_of(graph, pair):
+    """The verify-local report of one pair."""
+    return next(r for r in verify_local_equivalence(graph).reports if r.pair == pair)
+
+
 class TestPairStatus:
     def test_petersen_adjacent_all_six_true(self, petersen_graph):
         pair = VertexPair(0, 1)
-        report = pair_status(petersen_graph, pair)
+        report = report_of(petersen_graph, pair)
         assert petersen_graph.connecting_edges(0, 1) and not report.degenerate
         statements = report.statements()
         assert len(statements) == 6
@@ -94,7 +98,7 @@ class TestPairStatus:
             assert all(flow.values()) and verify_kirchhoff(derived, flow)
 
     def test_petersen_non_adjacent_three_statements(self, petersen_graph):
-        report = pair_status(petersen_graph, VertexPair(0, 2))
+        report = report_of(petersen_graph, VertexPair(0, 2))
         assert not petersen_graph.connecting_edges(0, 2)
         statements = report.statements()
         assert len(statements) == 3
@@ -103,18 +107,18 @@ class TestPairStatus:
         assert "colorable_after_suppression" not in statements
 
     def test_flower5_sample_pairs_consistent(self):
-        j5 = flower_snark(5)
+        reports = {r.pair: r for r in verify_local_equivalence(flower_snark(5)).reports}
         for pair in (VertexPair(0, 5), VertexPair(0, 1), VertexPair(3, 17)):
-            report = pair_status(j5, pair)
+            report = reports[pair]
             assert report.consistent
             assert all(report.statements().values())
 
     def test_refuses_non_snark(self, k4):
         with pytest.raises(NotASnarkError):
-            pair_status(k4, VertexPair(0, 1))
+            verify_local_equivalence(k4)
 
     def test_dumbbell_pair_degenerate_but_consistent(self, dumbbell_graph):
-        report = pair_status(dumbbell_graph, VertexPair(0, 1))
+        report = report_of(dumbbell_graph, VertexPair(0, 1))
         assert report.degenerate
         assert report.consistent
         # suppression is impossible on the bridge, so that statement is absent
@@ -133,7 +137,7 @@ class TestPairStatus:
         assert digon.is_cubic
         assert is_snark(digon)
         table = DecisionTable(digon)
-        report = pair_status(digon, VertexPair(10, 11), table=table)
+        report = criticality._pair_report(table, VertexPair(10, 11))
         assert report.degenerate
         assert len(digon.connecting_edges(10, 11)) == 2
         assert report.consistent
@@ -482,7 +486,7 @@ class TestDecisionTable:
         assert is_bicritical(petersen_graph, table=table)
         assert is_4_vertex_critical(petersen_graph, table=table)
         calls = self._record_decisions(monkeypatch)
-        report = pair_status(petersen_graph, VertexPair(0, 2), table=table)
+        report = criticality._pair_report(table, VertexPair(0, 2))
         assert report.consistent and len(report.statements()) == 3
         # only the removal flow is new; the removal coloring and the
         # identification flow are read from the table
