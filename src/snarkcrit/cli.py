@@ -29,7 +29,6 @@ import shlex
 import sys
 from contextlib import closing
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import BinaryIO, Iterable, Iterator, NoReturn, Optional
 
 from .criticality import (
@@ -110,7 +109,9 @@ class Result:
     violation: bool = False
     pairs: int = 0  # verify-local: vertex pairs checked
     error: Optional[str] = None  # the message of a raised violation
-    graph6: Optional[str] = None  # the input line, for an --input graph
+
+
+Outcome = tuple[Optional[str], Result]  # input line (None for --named) and result
 
 
 def evaluate(command: str, index: int, graph: CubicGraph) -> Result:
@@ -164,7 +165,6 @@ def _evaluate(command: str, index: int, graph: CubicGraph) -> Result:
             f"coloring_micros={cert.coloring_path_micros} "
             f"flow_micros={cert.flow_path_micros}"
         )
-        suffix = "" if agree else " DISAGREE"
     else:  # verify-strong
         cert = strong_certificate(graph, table=table)
         agree = cert.routes_agree
@@ -173,24 +173,22 @@ def _evaluate(command: str, index: int, graph: CubicGraph) -> Result:
             f"edges={len(cert.per_edge)} "
             f"non_suppressible={len(cert.non_suppressible_edges)}"
         )
-        suffix = "" if agree else " DISAGREE " + "; ".join(cert.disagreements())
+    suffix = "" if agree else " DISAGREE " + "; ".join(cert.disagreements())
     return Result(index, line=head + body + suffix, violation=not agree)
 
 
 def _work(command: str, item: tuple[int, str]) -> Result:
     """Parse one graph6 line and evaluate it."""
     index, line = item
-    result = evaluate(command, index, parse_graph6(line, line_number=index))
-    return replace(result, graph6=line)
+    return evaluate(command, index, parse_graph6(line, line_number=index))
 
 
 # ----------------------------------------------------------------------
 # driver
 
 
-def _results(config: RunConfig) -> tuple[Iterator[Result], int]:
-    """The lazy per-graph results in input order, and how many graphs
-    exceed ``max_order``.
+def _results(config: RunConfig) -> tuple[Iterator[Outcome], int]:
+    """The lazy outcomes in input order and how many graphs exceed ``max_order``.
 
     Graphs over the order limit are dropped here, before any is evaluated.
     """
@@ -201,7 +199,7 @@ def _results(config: RunConfig) -> tuple[Iterator[Result], int]:
     if config.named is not None:
         graph = make_named(config.named)
         kept = [graph] if fits(graph.order) else []
-        return (evaluate(config.command, 1, g) for g in kept), 1 - len(kept)
+        return ((None, evaluate(config.command, 1, g)) for g in kept), 1 - len(kept)
     # read in full before any evaluation, so every parse error comes first
     items = []
     skipped = 0
@@ -213,25 +211,26 @@ def _results(config: RunConfig) -> tuple[Iterator[Result], int]:
     return _run_pool(config, items), skipped
 
 
-def _run_pool(config: RunConfig, items: list[tuple[int, str]]) -> Iterator[Result]:
+def _run_pool(config: RunConfig, items: list[tuple[int, str]]) -> Iterator[Outcome]:
     """Evaluate graph6 items in input order, in forked workers when ``jobs`` > 1.
 
     The items are cut into chunks of about ``n / (4 * jobs)`` graphs, and
     ``min(jobs, chunks)`` workers are forked.  Each reads 4-byte chunk
-    numbers from a task pipe and answers each with one pickle on a result
-    pipe; a pickle marks its own end, and a worker that leaves without a
+    numbers from a task pipe and answers each with one pickle of the chunk's
+    results on a result pipe; the parent keeps the lines, for the reproduce
+    command.  A pickle marks its own end, and a worker that leaves without a
     whole answer makes the run raise ``RuntimeError``.  A worker that
     answers gets the next chunk at once, also while a slow chunk holds back
     the output, so at most one chunk per worker is unfinished and at most
     one answer per worker is in flight; finished chunks wait for their turn
     in input order.  However the run ends (the last chunk, an early close
-    for ``--fail-fast``, a worker's error, an interrupt), the task pipes
-    are closed, so idle workers read end-of-file and leave, busy ones are
+    for ``--fail-fast``, a worker's error, an interrupt), the task pipes are
+    closed, so idle workers read end-of-file and leave, busy ones are
     killed, and every worker is reaped.  Forking needs POSIX.  The pool's
     modules are imported only here.
     """
     if config.jobs == 1:
-        yield from map(partial(_work, config.command), items)
+        yield from ((item[1], _work(config.command, item)) for item in items)
         return
     size = max(1, len(items) // (config.jobs * 4))
     chunks = [items[i : i + size] for i in range(0, len(items), size)]
@@ -291,7 +290,7 @@ def _run_pool(config: RunConfig, items: list[tuple[int, str]]) -> Iterator[Resul
             if isinstance(answer, tuple):  # the chunk raised: raise in its turn
                 exc, trace = answer
                 raise exc from RuntimeError(trace)
-            yield from answer
+            yield from zip((line for _, line in chunks[turn]), answer)
     finally:
         for task_write in tasks.values():
             os.close(task_write)
@@ -342,7 +341,7 @@ def _reproduce(config: RunConfig, graph6: Optional[str]) -> str:
     """A shell command that reruns ``config.command`` on one violating graph."""
     if config.named is not None:
         source = f"snarkcrit --named {shlex.quote(config.named)}"
-    else:  # graph6 bytes are 63..126, so single quotes need no escaping
+    else:  # graph6 bytes and a >>graph6<< header need no escaping in single quotes
         source = f"printf '%s\\n' '{graph6}' | snarkcrit --input /dev/stdin"
     return f"reproduce: {source} --command {config.command}"
 
@@ -366,26 +365,26 @@ def run(config: RunConfig, out=None, err=None) -> int:
 
 
 def _report(
-    results: Iterable[Result], skipped: int, config: RunConfig, out, err=None
+    results: Iterable[Outcome], skipped: int, config: RunConfig, out, err=None
 ) -> int:
     """Write the report of any command; returns the exit code.
 
-    Each violating graph gets a reproducing command on ``err``, and a
-    raised violation also its message there, naming the graph.  Only
+    Each violating graph gets a reproducing command on ``err``, from its
+    kept line, and a raised violation also its message there.  Only
     ``classify`` keeps its records; ``stats`` counts them as they arrive.
     """
     err = err if err is not None else sys.stderr
     records = []
     counts = dict.fromkeys(("graphs", *_STATS_FLAGS), 0)
     checked = violations = pair_total = 0
-    for r in results:
+    for graph6, r in results:
         checked += 1
         if r.error is not None:
-            where = f"graph {r.index} ({r.graph6 or config.named})"
+            where = f"graph {r.index} ({graph6 or config.named})"
             print(f"error: equivalence violation: {where}: {r.error}", file=err)
         if r.violation:
             violations += 1
-            print(_reproduce(config, r.graph6), file=err)
+            print(_reproduce(config, graph6), file=err)
         if r.record is not None:
             if config.command == "classify":
                 records.append(r.record)

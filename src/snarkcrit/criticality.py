@@ -629,6 +629,9 @@ class CoincidenceCertificate:
     vertex_flow_critical: bool
     coloring_path_micros: int
     flow_path_micros: int
+    # per classifier pair that disagrees, the first adjacent or any vertex pair
+    # whose colorable_after_removal and flow_after_identification differ
+    splits: tuple[Optional[VertexPair], Optional[VertexPair]]
 
     @property
     def consistent(self) -> bool:
@@ -638,13 +641,17 @@ class CoincidenceCertificate:
         )
 
     def disagreements(self) -> tuple[str, ...]:
-        """Each pair of coinciding classifiers that disagrees, with both values."""
+        """Each disagreeing pair of coinciding classifiers, with both values and
+        its split pair, where each statement has its classifier's value."""
         pairs = (
             ("critical", self.critical, "4-edge-critical", self.edge_flow_critical),
             ("bicritical", self.bicritical, "4-vertex-critical", self.vertex_flow_critical),
         )
         return tuple(
-            f"{a}={_bool(x)} but {b}={_bool(y)}" for a, x, b, y in pairs if x != y
+            f"{a}={_bool(x)} but {b}={_bool(y)} at pair ({p.u}, {p.v}): "
+            f"colorable_after_removal={_bool(x)} flow_after_identification={_bool(y)}"
+            for (a, x, b, y), p in zip(pairs, self.splits)
+            if x != y
         )
 
 
@@ -666,6 +673,12 @@ def verify_classifier_coincidence(
         is_4_vertex_critical(graph, table=table) if edge_flow_critical else False
     )
     t2 = time.perf_counter()
+
+    def split(pairs: list[VertexPair]) -> Optional[VertexPair]:
+        for p in pairs:
+            if table.verdict(REMOVAL, p, COLORING) != table.verdict(IDENTIFICATION, p, FLOW):
+                return p
+
     return CoincidenceCertificate(
         critical=critical,
         edge_flow_critical=edge_flow_critical,
@@ -673,6 +686,10 @@ def verify_classifier_coincidence(
         vertex_flow_critical=vertex_flow_critical,
         coloring_path_micros=int((t1 - t0) * 1e6),
         flow_path_micros=int((t2 - t1) * 1e6),
+        splits=(
+            None if critical == edge_flow_critical else split(table.adjacent_pairs),
+            None if bicritical == vertex_flow_critical else split(table.pairs),
+        ),
     )
 
 

@@ -265,9 +265,7 @@ def _min_cut_over_cycle_pairs(
     """Smallest max-flow between two disjoint cycles; None without such a pair.
 
     Returns as soon as a cut of size ``lower`` is found, since none is
-    smaller.  Vertices are renumbered 0..n-1 once.  Few pairs of cycles
-    are disjoint, so the partners of each cycle are read off a bit set over
-    the cycles instead of testing every pair.
+    smaller.  Vertices are renumbered 0..n-1 once.
     """
     index = {v: i for i, v in enumerate(sorted(graph.vertices))}
     arcs: list[list[tuple[int, int, int]]] = [[] for _ in index]
@@ -280,26 +278,12 @@ def _min_cut_over_cycle_pairs(
 
     members = [[index[v] for v in c] for c in sorted(cycles, key=len)]
     masks = [sum(1 << x for x in c) for c in members]  # vertex bit sets
-    # vertex -> bit set of the cycles through it, marked bit by bit in bytes
-    # and made an int once: growing an int one bit at a time is quadratic
-    marks = [bytearray((len(members) + 7) // 8) for _ in index]
-    for j, cycle in enumerate(members):
-        byte, bit = j >> 3, 1 << (j & 7)
-        for x in cycle:
-            marks[x][byte] |= bit
-    through = [int.from_bytes(m, "little") for m in marks]
-    every_cycle = (1 << len(members)) - 1
 
     best: Union[int, float] = math.inf
     for i, cycle in enumerate(members):
-        meets = 0
-        for x in cycle:
-            meets |= through[x]
-        later = (every_cycle ^ meets) >> i  # bit p: cycle i + p is disjoint from cycle i
-        while later:
-            low = later & -later
-            later ^= low
-            j = i + low.bit_length() - 1
+        for j in range(i + 1, len(members)):
+            if masks[i] & masks[j]:
+                continue
             best = _max_flow(arcs, edge_count, cycle, masks[j], best)
             if best == lower:
                 return lower

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import io
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -302,6 +303,25 @@ class TestVerifyCommands:
             f"edge {edge} suppression_uncolorable=true removal_uncolorable=false"
         )
 
+    @pytest.mark.parametrize("command", ["classify", "verify-coincidence"])
+    def test_coincidence_disagreement_names_the_pair(self, command, monkeypatch):
+        # Petersen's pair (0, 1) is adjacent, so both classifier pairs split there
+        deny_decision(monkeypatch, (IDENTIFICATION, VertexPair(0, 1), FLOW))
+        code, out, err = run_cli(command=command, named="petersen")
+        assert code == EXIT_VIOLATION
+        split = (
+            "at pair (0, 1): colorable_after_removal=true flow_after_identification=false"
+        )
+        named = (
+            f"critical=true but 4-edge-critical=false {split}; "
+            f"bicritical=true but 4-vertex-critical=false {split}"
+        )
+        if command == "classify":
+            assert "graph 1 (petersen): criticality classifiers disagree" in err
+            assert err.splitlines()[0].endswith(named)
+        else:
+            assert out.splitlines()[0].endswith(f" DISAGREE {named}")
+
     @pytest.mark.parametrize("command", COMMANDS)
     def test_bridged_snark_passes(self, command, bridged_snark_g6, tmp_path):
         # suppressing its bridge leaves a disconnected, uncolorable graph,
@@ -346,7 +366,7 @@ class TestVerifyCommands:
                 verdicts = (True, True, False, True, True, False) if snark else ()
                 record = ClassificationRecord(i, 10, snark, 5, 5, *verdicts)
                 held.append(weakref.ref(record))
-                yield Result(i, record=record)
+                yield None, Result(i, record=record)
                 del record
 
         out = io.StringIO()
@@ -439,8 +459,8 @@ class TestErrors:
         # honest pipeline cannot produce one without a solver bug
         out = io.StringIO()
         fake = [
-            Result(1, line="graph 1 (order 10): INCONSISTENT pairs [(0, 1)]",
-                   violation=True, pairs=45),
+            (None, Result(1, line="graph 1 (order 10): INCONSISTENT pairs [(0, 1)]",
+                          violation=True, pairs=45)),
         ]
         config = RunConfig(command="verify-local", named="petersen")
         assert _report(fake, 0, config, out) == EXIT_VIOLATION
@@ -450,9 +470,9 @@ class TestErrors:
     def test_fail_fast_stops_at_first_violation(self):
         out = io.StringIO()
         fake = [
-            Result(1, line="graph 1 (order 10): INCONSISTENT pairs [(0, 1)]",
-                   violation=True, pairs=45),
-            Result(2, line="graph 2 (order 10): 45 pairs consistent", pairs=45),
+            (None, Result(1, line="graph 1 (order 10): INCONSISTENT pairs [(0, 1)]",
+                          violation=True, pairs=45)),
+            (None, Result(2, line="graph 2 (order 10): 45 pairs consistent", pairs=45)),
         ]
         config = RunConfig(command="verify-local", named="petersen", fail_fast=True)
         assert _report(fake, 0, config, out) == EXIT_VIOLATION
@@ -799,7 +819,8 @@ class TestReproduce:
         lines = [encode_graph6(petersen()), encode_graph6(blanusa(1))]
         path = tmp_path / "three.g6"
         path.write_text("\n".join([lines[0], lines[1], lines[0]]) + "\n")
-        assert main(["--input", str(path), "--command", "verify-local"]) == EXIT_OK
+        argv = ["--input", str(path), "--command", "verify-local"]
+        assert main(argv) == EXIT_OK
         clean = capsys.readouterr()
         assert "reproduce" not in clean.err
 
@@ -808,12 +829,21 @@ class TestReproduce:
             (IDENTIFICATION, VertexPair(0, 2), FLOW),
             only_on=lambda graph: graph.order == 10,
         )
-        assert main(["--input", str(path), "--command", "verify-local"]) == EXIT_VIOLATION
-        out, err = capsys.readouterr()
-        assert err.count("reproduce:") == 2 and err.count(lines[0]) == 2
-        assert lines[1] not in err
-        assert out.splitlines()[1] == clean.out.splitlines()[1]  # Blanusa's line
-        assert "reproduce" not in out
+        # at --jobs 2 each graph is its own chunk, and the reproduce lines
+        # come from the lines that the pool's parent kept
+        for jobs in ("1", "2"):
+            assert main([*argv, "--jobs", jobs]) == EXIT_VIOLATION
+            out, err = capsys.readouterr()
+            assert err.count("reproduce:") == 2 and err.count(lines[0]) == 2
+            assert lines[1] not in err
+            assert out.splitlines()[1] == clean.out.splitlines()[1]  # Blanusa's line
+            assert "reproduce" not in out
+
+    def test_a_pool_answer_carries_no_input_line(self):
+        from snarkcrit import cli
+
+        line = encode_graph6(petersen())
+        assert line.encode() not in pickle.dumps(cli._work("classify", (1, line)))
 
     def test_named_is_shell_quoted(self):
         from snarkcrit.cli import _reproduce

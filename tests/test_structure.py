@@ -219,6 +219,10 @@ def _mcgee():
     return build_graph(24, _lcf(24, [12, 7, -7]))  # girth 7
 
 
+def _tutte_coxeter():
+    return build_graph(30, _lcf(30, [-13, -9, 7, -7, 9, 13]))  # girth 8
+
+
 def _joined_heawoods():
     """Two Heawood graphs minus the path 0-1-2, joined at their five loose ends."""
     edges = _lcf(14, [5, -5])
@@ -298,6 +302,8 @@ class TestCyclicConnectivityBranches:
             (_joined_heawoods(), "_smallest_label_cut", 5),  # girth 6
             (_heawood(), "pair search", 6),  # stops at the bound of 6
             (_mcgee(), "pair search", 7),  # girth 7: goes past the bound
+            # girth 8: no pair meets the bound, so every disjoint pair is tried
+            (_tutte_coxeter(), "pair search", 8),
         ]
         for graph, branch, value in cases:
             assert branch_of(graph) == (branch, value)
@@ -306,6 +312,7 @@ class TestCyclicConnectivityBranches:
         assert cyclic_cut_by_subset_enumeration(_joined_cubes(), 3) == 3
         assert (_joined_heawoods().order, girth(_joined_heawoods())) == (22, 6)
         assert girth(_mcgee()) == 7
+        assert (_tutte_coxeter().order, girth(_tutte_coxeter())) == (30, 8)
 
     def test_search_stops_at_the_lower_bound(self, monkeypatch):
         calls = []
