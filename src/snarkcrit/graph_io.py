@@ -3,9 +3,15 @@
 Only plain graph6 is read and written: the snark corpora of interest are
 lists of simple graphs, and multigraphs arise solely from surgery or from
 the named constructors.  Encoding follows the published format bit for
-bit: an optional ``>>graph6<<`` header, the order in 6-bit chunks biased
-by 63, then the upper triangle of the adjacency matrix in column order,
-packed into 6-bit chunks with zero padding.
+bit (McKay, "formats.txt"): an optional ``>>graph6<<`` header, the order,
+then the upper triangle of the adjacency matrix in column order, zero
+padded to a whole byte.  Each byte in 63..126 holds the six bits of its
+value minus 63, most significant first; ``_BITS`` maps a byte to that
+six-character bit string and ``_CHAR`` maps it back, for the order field
+and the bit vector alike.  An order below 63 is one byte, a larger one
+is ``~`` and 18 bits, or ``~~`` and 36 bits.  Vertices i < j share bit
+k = j(j - 1)/2 + i, so bit k belongs to j = (isqrt(8k + 1) + 1) // 2 and
+i = k - j(j - 1)/2.
 """
 
 from __future__ import annotations
@@ -47,27 +53,43 @@ class Graph6EncodeError(ValueError):
 # ----------------------------------------------------------------------
 # graph6 parsing and encoding
 
+_BITS = {byte: format(byte - 63, "06b") for byte in range(63, 127)}
+_CHAR = {bits: chr(byte) for byte, bits in _BITS.items()}
+
+# the whitespace that bytes.strip() removes, so a str line strips as its bytes do
+_ASCII_SPACE = " \t\n\r\x0b\x0c"
+
+
+def _unpack(data: bytes, start: int, stop: int, line_number: Optional[int]) -> str:
+    """The bits of ``data[start:stop]``; a byte outside 63..126 raises at its offset."""
+    try:
+        return "".join([_BITS[byte] for byte in data[start:stop]])
+    except KeyError as exc:
+        byte = exc.args[0]
+        raise Graph6ParseError(
+            f"byte {byte} out of range", data.index(byte, start), line_number
+        ) from None
+
+
+def _pack(bits: str) -> str:
+    """The graph6 characters of ``bits``, zero padded to a multiple of six."""
+    bits += "0" * (-len(bits) % 6)
+    return "".join([_CHAR[bits[k : k + 6]] for k in range(0, len(bits), 6)])
+
 
 def _decode_order(data: bytes, pos: int, line_number: Optional[int]) -> tuple[int, int]:
     """Return (order, offset of the bit vector) for the order field at ``pos``."""
     if len(data) <= pos:
         raise Graph6ParseError("empty input", pos, line_number)
-    c0 = data[pos]
-    if c0 == 126:
-        long = len(data) >= pos + 2 and data[pos + 1] == 126
-        start, width = (pos + 2, 6) if long else (pos + 1, 3)
-        chunk = data[start : start + width]
-        if len(chunk) < width:
-            raise Graph6ParseError("truncated order field", len(data), line_number)
-        n = 0
-        for i, byte in enumerate(chunk):
-            if not 63 <= byte <= 126:
-                raise Graph6ParseError(f"byte {byte} out of range", start + i, line_number)
-            n = (n << 6) | (byte - 63)
-        return n, start + width
-    if not 63 <= c0 <= 126:
-        raise Graph6ParseError(f"byte {c0} out of range", pos, line_number)
-    return c0 - 63, pos + 1
+    if data[pos] != 126:
+        start, width = pos, 1
+    elif len(data) >= pos + 2 and data[pos + 1] == 126:
+        start, width = pos + 2, 6
+    else:
+        start, width = pos + 1, 3
+    if len(data) < start + width:
+        raise Graph6ParseError("truncated order field", len(data), line_number)
+    return int(_unpack(data, start, start + width, line_number), 2), start + width
 
 
 def parse_graph6(line: Union[str, bytes], line_number: Optional[int] = None) -> CubicGraph:
@@ -75,12 +97,13 @@ def parse_graph6(line: Union[str, bytes], line_number: Optional[int] = None) -> 
 
     Strict about the format: every byte must lie in 63..126, the bit vector
     must have exactly the right length, and padding bits must be zero.
+    Only ASCII whitespace is stripped, from str and bytes alike.
     Errors report the byte offset in the stripped line, a ``>>graph6<<``
     header included, and the line number when one is given.
     """
     if isinstance(line, str):
         try:
-            data = line.strip().encode("ascii")
+            data = line.strip(_ASCII_SPACE).encode("ascii")
         except UnicodeEncodeError as exc:
             char = exc.object[exc.start]
             raise Graph6ParseError(
@@ -101,26 +124,16 @@ def parse_graph6(line: Union[str, bytes], line_number: Optional[int] = None) -> 
         )
     if len(data) - start > body_len:
         raise Graph6ParseError("trailing bytes after bit vector", start + body_len, line_number)
+    bits = _unpack(data, start, len(data), line_number)
+    if "1" in bits[bits_needed:]:  # the padding, all in the last byte
+        raise Graph6ParseError("nonzero padding bit", len(data) - 1, line_number)
 
     edges = []
-    bit_index = 0
-    i, j = 0, 1  # upper triangle in column order
-    for k in range(body_len):
-        byte = data[start + k]
-        if not 63 <= byte <= 126:
-            raise Graph6ParseError(f"byte {byte} out of range", start + k, line_number)
-        group = byte - 63
-        for shift in (5, 4, 3, 2, 1, 0):
-            bit = (group >> shift) & 1
-            if bit_index >= bits_needed:
-                if bit:
-                    raise Graph6ParseError("nonzero padding bit", start + k, line_number)
-            elif bit:
-                edges.append((i, j))
-            bit_index += 1
-            i += 1
-            if i == j:
-                i, j = 0, j + 1
+    k = bits.find("1")
+    while k >= 0:
+        j = (math.isqrt(8 * k + 1) + 1) // 2
+        edges.append((k - j * (j - 1) // 2, j))
+        k = bits.find("1", k + 1)
     return build_graph(n, edges)
 
 
@@ -132,33 +145,16 @@ def encode_graph6(graph: CubicGraph) -> str:
         raise Graph6EncodeError("graph6 cannot express loops")
     order = {v: i for i, v in enumerate(sorted(graph.vertices))}
     n = len(order)
-    present = set()
+    bits = bytearray(b"0" * (n * (n - 1) // 2))
     for e in graph.edges:
-        x, y = sorted(order[z] for z in e.real_endpoints())
-        if (x, y) in present:
+        i, j = sorted(order[z] for z in e.real_endpoints())
+        k = j * (j - 1) // 2 + i
+        if bits[k] == ord("1"):
             raise Graph6EncodeError("graph6 cannot express parallel edges")
-        present.add((x, y))
+        bits[k] = ord("1")
 
-    if n <= 62:
-        head = [n + 63]
-    elif n <= 258047:
-        head = [126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
-    else:
-        head = [126, 126] + [((n >> s) & 63) + 63 for s in (30, 24, 18, 12, 6, 0)]
-
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if (i, j) in present else 0)
-    body = []
-    for k in range(0, len(bits), 6):
-        chunk = bits[k : k + 6]
-        chunk += [0] * (6 - len(chunk))
-        value = 0
-        for bit in chunk:
-            value = (value << 1) | bit
-        body.append(value + 63)
-    return bytes(head + body).decode("ascii")
+    head, width = ("", 6) if n <= 62 else ("~", 18) if n <= 258047 else ("~~", 36)
+    return head + _pack(format(n, f"0{width}b") + bits.decode("ascii"))
 
 
 # ----------------------------------------------------------------------

@@ -78,6 +78,17 @@ def random_cubic_graphs(
     return out
 
 
+def random_simple_graphs(seed: int, max_order: int = 70) -> list[CubicGraph]:
+    """Seeded G(n, p) graphs of every order 0..max_order, sparse and dense in turn."""
+    rng = random.Random(seed)
+    densities = (0.05, 0.5, 0.95)
+    out: list[CubicGraph] = []
+    for n in range(max_order + 1):
+        g = nx.gnp_random_graph(n, densities[n % 3], seed=rng.randrange(2**31))
+        out.append(build_graph(n, list(g.edges())))
+    return out
+
+
 def random_cubic_multigraphs(
     count: int, orders: tuple[int, ...], seed: int
 ) -> list[CubicGraph]:

@@ -27,8 +27,12 @@ from snarkcrit.cli import (
     run,
 )
 from snarkcrit.criticality import (
+    COLORING,
+    CONTRACTION,
+    DELETION,
     FLOW,
     IDENTIFICATION,
+    REMOVAL,
     SUPPRESSION,
     ClassificationRecord,
     DecisionTable,
@@ -321,6 +325,37 @@ class TestVerifyCommands:
             assert err.splitlines()[0].endswith(named)
         else:
             assert out.splitlines()[0].endswith(f" DISAGREE {named}")
+
+    # one denied statement of Petersen's pair (0, 1), or of edge 0 (which joins
+    # 0 and 1), against the exit codes of verify-local, verify-strong,
+    # verify-coincidence and classify (0 ok, 4 violation); every row is caught
+    # at least once, and each 0 is a command that does not read the statement
+    @pytest.mark.parametrize(
+        "key, codes",
+        [
+            ((REMOVAL, VertexPair(0, 1), COLORING), (4, 4, 4, 4)),
+            # verify-strong reads removal by coloring only; verify-coincidence
+            # and classify read no removal flow
+            ((REMOVAL, VertexPair(0, 1), FLOW), (4, 0, 0, 0)),
+            # verify-strong reads no identification
+            ((IDENTIFICATION, VertexPair(0, 1), FLOW), (4, 0, 4, 4)),
+            # only verify-local's pair reports read edge deletion and contraction
+            ((DELETION, 0, FLOW), (4, 0, 0, 0)),
+            ((CONTRACTION, 0, FLOW), (4, 0, 0, 0)),
+            # verify-coincidence reads no suppression
+            ((SUPPRESSION, 0, COLORING), (4, 4, 0, 4)),
+            # verify-local's pair reports read suppression by coloring only,
+            # and verify-coincidence reads no suppression
+            ((SUPPRESSION, 0, FLOW), (0, 4, 0, 4)),
+        ],
+        ids=lambda v: "-".join(map(str, v)) if isinstance(v[0], int) else f"{v[0]}-{v[2]}",
+    )
+    def test_each_denied_statement_is_caught(self, key, codes, monkeypatch):
+        assert (EXIT_OK, EXIT_VIOLATION) == (0, 4)
+        deny_decision(monkeypatch, key)
+        commands = ("verify-local", "verify-strong", "verify-coincidence", "classify")
+        got = tuple(run_cli(command=c, named="petersen")[0] for c in commands)
+        assert got == codes
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_bridged_snark_passes(self, command, bridged_snark_g6, tmp_path):

@@ -21,7 +21,7 @@ from snarkcrit.graph_io import (
 from snarkcrit.multigraph import DANGLING, GraphError, build_graph
 from snarkcrit.structure import girth
 from isomorphism import are_isomorphic
-from strategies import random_cubic_graphs
+from strategies import random_cubic_graphs, random_simple_graphs
 
 
 class TestParseGraph6:
@@ -81,6 +81,24 @@ class TestParseGraph6:
             with pytest.raises(Graph6ParseError) as exc:
                 parse_graph6(line)
             assert exc.value.offset == 1
+        # only ASCII whitespace is stripped, as from the same bytes read from a
+        # file, so other whitespace is a non-ASCII character at its offset
+        line = encode_graph6(petersen())
+        for padded, offset in (
+            (line + "\u00a0", 9),
+            (line + "\u3000", 9),
+            (line + "\x85", 9),
+            ("\u00a0" + line, 0),
+        ):
+            with pytest.raises(Graph6ParseError) as exc:
+                parse_graph6(padded)
+            assert exc.value.offset == offset
+            assert f"character {padded[offset]!r} is not ASCII" in str(exc.value)
+        assert parse_graph6(" \t" + line + "\x0b\x0c\r\n").order == 10
+        # the separators \x1c-\x1f, which str.strip() also removes, are not
+        # ASCII whitespace either
+        with pytest.raises(Graph6ParseError, match="byte 0: byte 28 out of range"):
+            parse_graph6("\x1c" + line)
 
     def test_nonzero_padding_rejected(self):
         # order 3, no edges: body byte must be exactly 63 ('?')
@@ -101,16 +119,18 @@ class TestParseGraph6:
         assert ref.number_of_nodes() == 70 and ref.number_of_edges() == 70
 
     def test_agrees_with_reference_decoder(self):
-        for g in random_cubic_graphs(25, (4, 6, 8, 10, 12), seed=5):
+        # orders 0-70 reach the long order form and rows that start mid-byte
+        for g in random_cubic_graphs(25, (4, 6, 8, 10, 12), seed=5) + random_simple_graphs(5):
             line = encode_graph6(g)
             ours = parse_graph6(line)
             ref = nx.from_graph6_bytes(line.encode())
+            assert ours.order == ref.number_of_nodes() == g.order
             ours_edges = {frozenset(e.real_endpoints()) for e in ours.edges}
             ref_edges = {frozenset(e) for e in ref.edges()}
             assert ours_edges == ref_edges
 
     def test_agrees_with_reference_encoder(self):
-        for g in random_cubic_graphs(25, (4, 6, 8, 10), seed=6):
+        for g in random_cubic_graphs(25, (4, 6, 8, 10), seed=6) + random_simple_graphs(6):
             simple = nx.Graph()
             simple.add_nodes_from(sorted(g.vertices))
             simple.add_edges_from(
@@ -118,6 +138,17 @@ class TestParseGraph6:
             )
             ref = nx.to_graph6_bytes(simple, header=False).strip().decode()
             assert encode_graph6(g) == ref
+
+    def test_long_cycle_parses_to_its_edges(self):
+        # 4.5 million bits with 3000 set: a decoder that is quadratic in the
+        # line length takes seconds here
+        n = 3000
+        ring = build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+        back = parse_graph6(encode_graph6(ring))
+        assert back.order == n and len(back.edges) == n
+        assert {frozenset(e.real_endpoints()) for e in back.edges} == {
+            frozenset(e.real_endpoints()) for e in ring.edges
+        }
 
 
 class TestEncodeGraph6:
