@@ -28,6 +28,7 @@ from .criticality import (
     strong_certificate,
     verify_classifier_coincidence,
     verify_local_equivalence,
+    write_records,
 )
 from .flows import nowhere_zero_flow, verify_kirchhoff
 from .graph_io import (
@@ -38,7 +39,6 @@ from .graph_io import (
     make_named,
     parse_graph6,
     read_graph6_file,
-    write_records,
 )
 from .multigraph import (
     DANGLING,

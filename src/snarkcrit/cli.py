@@ -17,8 +17,9 @@ per-path timing columns aside, which ``--zero-timings`` blanks), and
 ``write_records`` as globals of this module: the benchmark's tracer wraps
 them here.
 
-Exit codes: 0 fine, 2 unreadable input, 3 parse error, 4 a provably
-equivalent pair of routes disagreed somewhere (an implementation bug).
+Exit codes: 0 fine, 2 unreadable input or a pool that cannot start, 3
+parse error, 4 a provably equivalent pair of routes disagreed somewhere
+(an implementation bug).
 """
 
 from __future__ import annotations
@@ -41,14 +42,9 @@ from .criticality import (
     strong_certificate,
     verify_classifier_coincidence,
     verify_local_equivalence,
-)
-from .graph_io import (
-    Graph6ParseError,
-    make_named,
-    parse_graph6,
-    read_graph6_file,
     write_records,
 )
+from .graph_io import Graph6ParseError, make_named, parse_graph6, read_graph6_file
 from .multigraph import CubicGraph, GraphError
 
 COMMANDS = ("classify", "verify-local", "verify-coincidence", "verify-strong", "stats")
@@ -67,6 +63,10 @@ EXIT_OK = 0
 EXIT_UNREADABLE = 2
 EXIT_PARSE = 3
 EXIT_VIOLATION = 4
+
+
+class PoolStartError(Exception):
+    """The pool could not open a worker's pipes or fork it; holds the OS error."""
 
 
 @dataclass(frozen=True)
@@ -219,15 +219,16 @@ def _run_pool(config: RunConfig, items: list[tuple[int, str]]) -> Iterator[Outco
     numbers from a task pipe and answers each with one pickle of the chunk's
     results on a result pipe; the parent keeps the lines, for the reproduce
     command.  A pickle marks its own end, and a worker that leaves without a
-    whole answer makes the run raise ``RuntimeError``.  A worker that
+    whole answer makes the run raise ``RuntimeError``; an OS error from a
+    worker's pipes or fork raises :class:`PoolStartError`.  A worker that
     answers gets the next chunk at once, also while a slow chunk holds back
     the output, so at most one chunk per worker is unfinished and at most
     one answer per worker is in flight; finished chunks wait for their turn
     in input order.  However the run ends (the last chunk, an early close
-    for ``--fail-fast``, a worker's error, an interrupt), the task pipes are
-    closed, so idle workers read end-of-file and leave, busy ones are
-    killed, and every worker is reaped.  Forking needs POSIX.  The pool's
-    modules are imported only here.
+    for ``--fail-fast``, a worker's error, a failed start, an interrupt),
+    the task pipes are closed, so idle workers read end-of-file and leave,
+    busy ones are killed, and every worker is reaped.  Forking needs POSIX.
+    The pool's modules are imported only here.
     """
     if config.jobs == 1:
         yield from ((item[1], _work(config.command, item)) for item in items)
@@ -258,19 +259,27 @@ def _run_pool(config: RunConfig, items: list[tuple[int, str]]) -> Iterator[Outco
 
     try:
         for _ in range(min(config.jobs, len(chunks))):
-            task_read, task_write = os.pipe()
-            result_read, result_write = os.pipe()
-            worker = os.fdopen(result_read, "rb")
-            tasks[worker] = task_write
-            # every parent end, the new worker's too
-            others = [*(w.fileno() for w in tasks), *tasks.values()]
             try:
-                pid = os.fork()
-                if pid == 0:
-                    _worker(config.command, chunks, task_read, result_write, others)
-            finally:
-                os.close(task_read)
-                os.close(result_write)
+                task_read, task_write = os.pipe()
+                try:
+                    result_read, result_write = os.pipe()
+                except OSError:
+                    os.close(task_read)
+                    os.close(task_write)
+                    raise
+                worker = os.fdopen(result_read, "rb")
+                tasks[worker] = task_write
+                # every parent end, the new worker's too
+                others = [*(w.fileno() for w in tasks), *tasks.values()]
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        _worker(config.command, chunks, task_read, result_write, others)
+                finally:
+                    os.close(task_read)
+                    os.close(result_write)
+            except OSError as exc:
+                raise PoolStartError(exc) from exc
             pids[worker] = pid
         for worker in tasks:
             give(worker)
@@ -361,7 +370,11 @@ def run(config: RunConfig, out=None, err=None) -> int:
             print(f"offending line {exc.line_number}: {exc.line}", file=err)
         return EXIT_PARSE
     with closing(results):
-        return _report(results, skipped, config, out, err)
+        try:
+            return _report(results, skipped, config, out, err)
+        except PoolStartError as exc:
+            print(f"error: cannot start the pool: {exc}", file=err)
+            return EXIT_UNREADABLE
 
 
 def _report(

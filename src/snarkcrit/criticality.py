@@ -52,16 +52,22 @@ up, and requires a call at each name:
 ``coloring.three_edge_colorable`` and ``flows.nowhere_zero_flow`` through
 their modules, builds identifications through ``flows.identify_vertices``
 and the other derived graphs through this module's names.
+
+:func:`write_records` writes a :class:`ClassificationRecord` as one CSV row,
+its fields in order as the columns, or as one JSON object per line.  A CSV
+boolean is ``true`` or ``false`` through ``_bool``, as in the report lines;
+None and an infinite girth are empty cells or JSON nulls.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import combinations
 from operator import itemgetter
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from . import coloring, flows
 from .coloring import is_proper_coloring, three_edge_colorable
@@ -715,6 +721,37 @@ class ClassificationRecord:
     is_strong: Optional[bool] = None
     coloring_path_micros: Optional[int] = None
     flow_path_micros: Optional[int] = None
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(ClassificationRecord))
+
+
+def _json_value(value):
+    return None if isinstance(value, float) and math.isinf(value) else value
+
+
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return _bool(value)
+    value = _json_value(value)
+    return "" if value is None else str(value)
+
+
+def write_records(records: Iterable[ClassificationRecord], format: str = "csv") -> bytes:
+    """Serialize records deterministically, in the forms the module docstring gives.
+
+    No cell holds a comma, a quote or a line break, so CSV needs no quoting.
+    """
+    rows = [[getattr(r, col) for col in CSV_COLUMNS] for r in records]
+    if format == "csv":
+        lines = [",".join(CSV_COLUMNS)] + [",".join(map(_cell, row)) for row in rows]
+    elif format == "jsonl":
+        import json
+
+        lines = [json.dumps(dict(zip(CSV_COLUMNS, map(_json_value, row)))) for row in rows]
+    else:
+        raise ValueError(f"unknown format {format!r}")
+    return "".join(line + "\n" for line in lines).encode("utf-8")
 
 
 def classify(graph: CubicGraph, graph_index: int = 0) -> ClassificationRecord:

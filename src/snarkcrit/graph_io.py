@@ -1,4 +1,4 @@
-"""Corpus ingestion (graph6), named graph constructors, report serialization.
+"""Corpus ingestion (graph6) and the named graph constructors.
 
 Only plain graph6 is read and written: the snark corpora of interest are
 lists of simple graphs, and multigraphs arise solely from surgery or from
@@ -16,15 +16,13 @@ i = k - j(j - 1)/2.
 
 from __future__ import annotations
 
-import io
 import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
-from .criticality import ClassificationRecord, is_snark
 from .multigraph import CubicGraph, GraphError, build_graph
 
 GRAPH6_HEADER = ">>graph6<<"
@@ -207,35 +205,27 @@ _BLANUSA_2 = (
 )
 
 
-def _checked_cubic(graph: CubicGraph) -> CubicGraph:
-    if not graph.is_cubic:
-        raise GraphError("named constructor produced a non-cubic graph")
-    return graph
-
-
 @lru_cache(maxsize=None)
 def petersen() -> CubicGraph:
     outer = [(i, (i + 1) % 5) for i in range(5)]
     spokes = [(i, i + 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return _checked_cubic(build_graph(10, outer + spokes + inner))
+    return build_graph(10, outer + spokes + inner)
 
 
 @lru_cache(maxsize=None)
 def dumbbell() -> CubicGraph:
-    return _checked_cubic(build_graph(2, [(0, 1), (0, 0), (1, 1)]))
+    return build_graph(2, [(0, 1), (0, 0), (1, 1)])
 
 
 @lru_cache(maxsize=None)
 def theta() -> CubicGraph:
-    return _checked_cubic(build_graph(2, [(0, 1), (0, 1), (0, 1)]))
+    return build_graph(2, [(0, 1), (0, 1), (0, 1)])
 
 
 @lru_cache(maxsize=None)
 def complete4() -> CubicGraph:
-    return _checked_cubic(
-        build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-    )
+    return build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
 
 @lru_cache(maxsize=None)
@@ -258,26 +248,19 @@ def flower_snark(k: int) -> CubicGraph:
     edges += [(c(i), c(i + 1)) for i in range(k - 1)]
     edges += [(d(i), d(i + 1)) for i in range(k - 1)]
     edges += [(c(k - 1), d(0)), (d(k - 1), c(0))]
-    return _checked_cubic(build_graph(4 * k, edges))
+    return build_graph(4 * k, edges)
 
 
 @lru_cache(maxsize=None)
 def blanusa(variant: int) -> CubicGraph:
-    """The two order-18 snarks; stored as data, checked at build time.
+    """The two order-18 snarks, stored as data.
 
     Variant 1 is the one with the automorphism group of order 8.  Both
-    arose as dot products of two Petersen graphs and are validated as
-    snarks here rather than trusted.
+    arose as dot products of two Petersen graphs.
     """
-    if variant == 1:
-        graph = build_graph(18, list(_BLANUSA_1))
-    elif variant == 2:
-        graph = build_graph(18, list(_BLANUSA_2))
-    else:
+    if variant not in (1, 2):
         raise GraphError("variant must be 1 or 2")
-    if not is_snark(graph):
-        raise GraphError(f"embedded data for blanusa{variant} failed the snark check")
-    return _checked_cubic(graph)
+    return build_graph(18, _BLANUSA_1 if variant == 1 else _BLANUSA_2)
 
 
 _FLOWER_RE = re.compile(r"^flower\(?(\d+)\)?$")
@@ -301,54 +284,3 @@ def make_named(name: str) -> CubicGraph:
     if m:
         return flower_snark(int(m.group(1)))
     raise GraphError(f"unknown named graph {name!r}")
-
-
-# ----------------------------------------------------------------------
-# record serialization
-
-CSV_COLUMNS = tuple(f.name for f in fields(ClassificationRecord))
-
-
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, float) and math.isinf(value):
-        return ""
-    return str(value)
-
-
-def _json_value(value):
-    if isinstance(value, float) and math.isinf(value):
-        return None
-    return value
-
-
-def write_records(records: Iterable[ClassificationRecord], format: str = "csv") -> bytes:
-    """Serialize records deterministically, one row or object per graph.
-
-    Undefined values (refused verdicts, undefined cyclic connectivity,
-    infinite girth) come out as empty CSV cells or JSON nulls.
-    """
-    records = list(records)
-    if format == "csv":
-        import csv
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for r in records:
-            writer.writerow([_cell(getattr(r, col)) for col in CSV_COLUMNS])
-        return buf.getvalue().encode("utf-8")
-    if format == "jsonl":
-        import json
-
-        lines = []
-        for r in records:
-            obj = {col: _json_value(getattr(r, col)) for col in CSV_COLUMNS}
-            lines.append(json.dumps(obj))
-        return ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
-    raise ValueError(f"unknown format {format!r}")

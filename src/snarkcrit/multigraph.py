@@ -11,18 +11,17 @@ freshly built graphs.  Vertex and edge ids are small integers; surgery
 preserves the ids of surviving edges and allocates fresh ids for edges it
 creates, so witnesses computed on a derived graph can be traced back.  It
 also keeps each surviving edge's slots: a removed endpoint becomes
-DANGLING in its own slot, and a merged or expanded vertex takes the slot
-of the one it replaces.  A flow, read from slot a to slot b, so keeps its
-sign from a derived graph to its parent.
+DANGLING, which is ``None``, in its own slot, and a merged or expanded
+vertex takes the slot of the one it replaces.  A flow, read from slot a to
+slot b, so keeps its sign from a derived graph to its parent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple, Optional
 
 
 class GraphError(ValueError):
@@ -33,21 +32,10 @@ class NonSuppressibleError(GraphError):
     """Suppressing an edge would have to splice a vertex into itself."""
 
 
-class _EndpointMarker(Enum):
-    DANGLING = 0
-
-    # the marker is a singleton compared by identity; the identity hash
-    # keeps hashing edges and endpoint sets in C
-    __hash__ = object.__hash__
-
-    def __repr__(self) -> str:
-        return "DANGLING"
-
-
 #: Marker for the detached side of a dangling edge.
-DANGLING = _EndpointMarker.DANGLING
+DANGLING = None
 
-Endpoint = Union[int, _EndpointMarker]
+Endpoint = Optional[int]
 
 
 class Edge(NamedTuple):
@@ -230,8 +218,8 @@ def build_graph(vertex_count: int, edge_list: Iterable[tuple[Endpoint, Endpoint]
     """Build an immutable graph on vertices ``0 .. vertex_count - 1``.
 
     Each entry of ``edge_list`` is a pair of endpoints, where an endpoint is
-    a vertex id or :data:`DANGLING`, kept in the slots given.  Equal
-    endpoints denote a loop.
+    a vertex id or :data:`DANGLING`, kept in the slots given, so a None
+    endpoint is a dangling side.  Equal endpoints denote a loop.
     """
     if vertex_count < 0:
         raise GraphError("vertex count must be nonnegative")

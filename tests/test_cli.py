@@ -14,6 +14,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from snarkcrit import coloring, criticality, flows
 from snarkcrit.cli import (
     COMMANDS,
     EXIT_OK,
@@ -29,6 +30,7 @@ from snarkcrit.cli import (
 from snarkcrit.criticality import (
     COLORING,
     CONTRACTION,
+    CSV_COLUMNS,
     DELETION,
     FLOW,
     IDENTIFICATION,
@@ -38,9 +40,9 @@ from snarkcrit.criticality import (
     DecisionTable,
     EquivalenceViolationError,
 )
-from snarkcrit.graph_io import CSV_COLUMNS, blanusa, encode_graph6, petersen
+from snarkcrit.graph_io import blanusa, encode_graph6, petersen
 from snarkcrit.multigraph import VertexPair
-from faults import deny_decision
+from faults import corrupt_transported, deny_decision, scramble_hints
 
 
 # report lines of the verify commands, the timings masked
@@ -356,6 +358,38 @@ class TestVerifyCommands:
         commands = ("verify-local", "verify-strong", "verify-coincidence", "classify")
         got = tuple(run_cli(command=c, named="petersen")[0] for c in commands)
         assert got == codes
+
+    def test_broken_witnesses_and_hints_change_no_output(self, monkeypatch):
+        # a transported witness settles a key only after its own check, and a
+        # hint only orders a search; so corrupting every transported witness,
+        # or scrambling every hint, changes no byte of any output
+        runs = [
+            (command, name)
+            for name in ("petersen", "flower(5)", "flower(7)")
+            for command in ("classify", "verify-local", "verify-strong")
+        ]
+
+        def outputs():
+            return [run_cli(command=c, named=n, zero_timings=c == "classify") for c, n in runs]
+
+        def work():
+            return coloring.search_steps + flows.search_steps, criticality.witness_checks
+
+        steps = work()[0]
+        clean = outputs()
+        clean_steps = work()[0] - steps
+        assert all(code == EXIT_OK for code, _, _ in clean)
+
+        steps, checks = work()
+        accepted = corrupt_transported(monkeypatch)
+        assert outputs() == clean
+        assert accepted == []
+        # the checks still ran, and the solvers did the work they saved
+        assert work()[1] > checks and work()[0] - steps > clean_steps
+        monkeypatch.undo()
+
+        scramble_hints(monkeypatch)
+        assert outputs() == clean
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_bridged_snark_passes(self, command, bridged_snark_g6, tmp_path):
@@ -694,6 +728,37 @@ class TestErrors:
         # the worker's traceback comes along as the cause
         assert "raise_on_2" in str(info.value.__cause__)
         no_children()
+
+    def test_a_pool_that_cannot_start_exits_2(self, tmp_path):
+        # 16 open files let a few workers start before os.pipe fails; those are
+        # reaped, stdout stays empty and stderr names the OS error
+        import resource
+
+        path = tmp_path / "forty.g6"
+        path.write_text((encode_graph6(petersen()) + "\n") * 40)
+        script = (
+            "import os, sys\n"
+            "from snarkcrit.cli import main\n"
+            f"code = main(['--input', {str(path)!r}, '--jobs', '8', '--command', 'stats'])\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "except ChildProcessError:\n"
+            "    print('no child left')\n"
+            "sys.exit(code)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_NOFILE, (16, 16)),
+        )
+        assert proc.returncode == EXIT_UNREADABLE
+        # the report wrote nothing before the marker
+        assert proc.stdout == "no child left\n"
+        assert proc.stderr == (
+            "error: cannot start the pool: [Errno 24] Too many open files\n"
+        )
 
     def test_a_worker_that_raises_makes_the_run_raise(self, tmp_path):
         # in a fresh process with a timeout, so a pool that hangs fails the test

@@ -5,9 +5,8 @@ import json
 import networkx as nx
 import pytest
 
-from snarkcrit.criticality import classify, is_snark
+from snarkcrit.criticality import CSV_COLUMNS, classify, is_snark, write_records
 from snarkcrit.graph_io import (
-    CSV_COLUMNS,
     Graph6EncodeError,
     Graph6ParseError,
     blanusa,
@@ -16,7 +15,6 @@ from snarkcrit.graph_io import (
     parse_graph6,
     petersen,
     read_graph6_file,
-    write_records,
 )
 from snarkcrit.multigraph import DANGLING, GraphError, build_graph
 from snarkcrit.structure import girth
