@@ -9,8 +9,8 @@ that keeps its message, so one graph never stops the others.
 workers; a ``--named`` graph is built once and evaluated directly, so
 multigraph constructors work too.  :func:`_report` consumes the results of
 every command in input order, so reports do not depend on ``--jobs`` (the
-per-path timing columns aside, which ``--zero-timings`` blanks), and
-``--fail-fast`` stops the work at the first violating graph.
+per-route timings aside, which ``--zero-timings`` blanks where each result
+is made), and ``--fail-fast`` stops the work at the first violating graph.
 
 ``evaluate``, ``_work`` and ``_report`` must look up ``parse_graph6``,
 ``classify``, ``snark_status``, ``verify_local_equivalence`` and
@@ -19,7 +19,7 @@ them here.
 
 Exit codes: 0 fine, 2 unreadable input or a pool that cannot start, 3
 parse error, 4 a provably equivalent pair of routes disagreed somewhere
-(an implementation bug).
+(an implementation bug), 141 stdout closed early (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import argparse
 import os
 import shlex
 import sys
-from contextlib import closing
+from contextlib import closing, suppress
 from dataclasses import dataclass, replace
 from typing import BinaryIO, Iterable, Iterator, NoReturn, Optional
 
@@ -63,6 +63,7 @@ EXIT_OK = 0
 EXIT_UNREADABLE = 2
 EXIT_PARSE = 3
 EXIT_VIOLATION = 4
+EXIT_CLOSED_OUTPUT = 141
 
 
 class PoolStartError(Exception):
@@ -114,27 +115,31 @@ class Result:
 Outcome = tuple[Optional[str], Result]  # input line (None for --named) and result
 
 
-def evaluate(command: str, index: int, graph: CubicGraph) -> Result:
-    """Run ``command`` on one graph; ``index`` is its input line number.
+def evaluate(config: RunConfig, index: int, graph: CubicGraph) -> Result:
+    """Run ``config.command`` on one graph; ``index`` is its input line number.
 
     A violation that the library raises becomes a violating result with
     its message and no record or report line.
     """
     try:
-        return _evaluate(command, index, graph)
+        return _evaluate(config, index, graph)
     except EquivalenceViolationError as exc:
         return Result(index, violation=True, error=str(exc))
 
 
-def _evaluate(command: str, index: int, graph: CubicGraph) -> Result:
-    if command in ("classify", "stats"):
-        return Result(index, record=classify(graph, graph_index=index))
+def _evaluate(config: RunConfig, index: int, graph: CubicGraph) -> Result:
+    """The result of one graph, its timings blanked under ``zero_timings``."""
+    if config.command in ("classify", "stats"):
+        record = classify(graph, graph_index=index)
+        if config.zero_timings:
+            record = replace(record, coloring_path_micros=None, flow_path_micros=None)
+        return Result(index, record=record)
     head = f"graph {index} (order {graph.order}): "
     status = snark_status(graph)
     if not status.verdict:
         return Result(index, line=f"{head}refused, not a snark ({status.reason})")
     table = DecisionTable(graph, status)
-    if command == "verify-local":
+    if config.command == "verify-local":
         cert = verify_local_equivalence(graph, table=table)
         degenerate = len(cert.degenerate_pairs)
         note = f", {degenerate} degenerate pair(s)" if degenerate else ""
@@ -154,16 +159,17 @@ def _evaluate(command: str, index: int, graph: CubicGraph) -> Result:
             violation=not cert.consistent,
             pairs=cert.pair_count,
         )
-    if command == "verify-coincidence":
+    if config.command == "verify-coincidence":
         cert = verify_classifier_coincidence(graph, table=table)
         agree = cert.consistent
+        timings = (cert.coloring_path_micros, cert.flow_path_micros)
+        coloring_micros, flow_micros = ("", "") if config.zero_timings else timings
         body = (
             f"critical={_bool(cert.critical)} "
             f"4-edge-critical={_bool(cert.edge_flow_critical)} "
             f"bicritical={_bool(cert.bicritical)} "
             f"4-vertex-critical={_bool(cert.vertex_flow_critical)} "
-            f"coloring_micros={cert.coloring_path_micros} "
-            f"flow_micros={cert.flow_path_micros}"
+            f"coloring_micros={coloring_micros} flow_micros={flow_micros}"
         )
     else:  # verify-strong
         cert = strong_certificate(graph, table=table)
@@ -177,10 +183,10 @@ def _evaluate(command: str, index: int, graph: CubicGraph) -> Result:
     return Result(index, line=head + body + suffix, violation=not agree)
 
 
-def _work(command: str, item: tuple[int, str]) -> Result:
+def _work(config: RunConfig, item: tuple[int, str]) -> Result:
     """Parse one graph6 line and evaluate it."""
     index, line = item
-    return evaluate(command, index, parse_graph6(line, line_number=index))
+    return evaluate(config, index, parse_graph6(line, line_number=index))
 
 
 # ----------------------------------------------------------------------
@@ -199,7 +205,7 @@ def _results(config: RunConfig) -> tuple[Iterator[Outcome], int]:
     if config.named is not None:
         graph = make_named(config.named)
         kept = [graph] if fits(graph.order) else []
-        return ((None, evaluate(config.command, 1, g)) for g in kept), 1 - len(kept)
+        return ((None, evaluate(config, 1, g)) for g in kept), 1 - len(kept)
     # read in full before any evaluation, so every parse error comes first
     items = []
     skipped = 0
@@ -231,7 +237,7 @@ def _run_pool(config: RunConfig, items: list[tuple[int, str]]) -> Iterator[Outco
     The pool's modules are imported only here.
     """
     if config.jobs == 1:
-        yield from ((item[1], _work(config.command, item)) for item in items)
+        yield from ((item[1], _work(config, item)) for item in items)
         return
     size = max(1, len(items) // (config.jobs * 4))
     chunks = [items[i : i + size] for i in range(0, len(items), size)]
@@ -253,7 +259,9 @@ def _run_pool(config: RunConfig, items: list[tuple[int, str]]) -> Iterator[Outco
 
     def give(worker: BinaryIO) -> None:
         nonlocal given
-        os.write(tasks[worker], given.to_bytes(4, "little"))
+        # a dead worker fails the run at its result pipe's end-of-file, not here
+        with suppress(BrokenPipeError):
+            os.write(tasks[worker], given.to_bytes(4, "little"))
         busy[worker] = given
         given += 1
 
@@ -274,7 +282,7 @@ def _run_pool(config: RunConfig, items: list[tuple[int, str]]) -> Iterator[Outco
                 try:
                     pid = os.fork()
                     if pid == 0:
-                        _worker(config.command, chunks, task_read, result_write, others)
+                        _worker(config, chunks, task_read, result_write, others)
                 finally:
                     os.close(task_read)
                     os.close(result_write)
@@ -312,7 +320,7 @@ def _run_pool(config: RunConfig, items: list[tuple[int, str]]) -> Iterator[Outco
 
 
 def _worker(
-    command: str, chunks: list, tasks: int, results: int, others: list[int]
+    config: RunConfig, chunks: list, tasks: int, results: int, others: list[int]
 ) -> NoReturn:
     """The body of a forked worker; it leaves through ``os._exit`` on every path.
 
@@ -334,7 +342,7 @@ def _worker(
         while number := os.read(tasks, 4):
             chunk = chunks[int.from_bytes(number, "little")]
             try:
-                answer = pickle.dumps([_work(command, item) for item in chunk])
+                answer = pickle.dumps([_work(config, item) for item in chunk])
             except Exception as exc:
                 import traceback
 
@@ -411,14 +419,15 @@ def _report(
         if r.violation and config.fail_fast:
             break
     if config.command == "classify":
-        if config.zero_timings:
-            records = [
-                replace(rec, coloring_path_micros=None, flow_path_micros=None)
-                for rec in records
-            ]
         out.write(write_records(records, config.format).decode("utf-8"))
     elif config.command == "stats":
-        _print_stats({**counts, "skipped_over_max_order": skipped}, config, out)
+        counts["skipped_over_max_order"] = skipped
+        if config.format == "jsonl":
+            import json
+
+            out.write(json.dumps(counts) + "\n")
+        else:
+            out.write("".join(f"{key}: {value}\n" for key, value in counts.items()))
     else:
         summary = f"checked {checked} graph(s)"
         if config.command == "verify-local":
@@ -428,16 +437,6 @@ def _report(
         summary += f", {violations} violation(s)"
         out.write(summary + "\n")
     return EXIT_VIOLATION if violations else EXIT_OK
-
-
-def _print_stats(counts: dict[str, int], config: RunConfig, out) -> None:
-    if config.format == "jsonl":
-        import json
-
-        out.write(json.dumps(counts) + "\n")
-    else:
-        for key, value in counts.items():
-            out.write(f"{key}: {value}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -467,7 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--zero-timings",
         action="store_true",
-        help="blank the timing columns for byte-reproducible classify output",
+        help="blank the per-route timings (the classify columns and the "
+        "verify-coincidence values) for byte-reproducible output",
     )
     return parser
 
@@ -479,7 +479,13 @@ def main(argv=None) -> int:
         config = RunConfig(**vars(args))
     except ValueError as exc:
         parser.error(str(exc))  # exits 2 with the usage
-    code = run(config)
+    try:
+        code = run(config)
+        sys.stdout.flush()  # a closed stdout fails here, not at the final flush
+    except BrokenPipeError:
+        # the reader left: point stdout at nothing, so the final flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_CLOSED_OUTPUT
     if argv is None:
         sys.exit(code)
     return code

@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from itertools import combinations
 from operator import itemgetter
@@ -503,19 +503,6 @@ class EdgeStrongStatus:
     suppression_uncolorable: Optional[bool]  # None when not suppressible
     removal_uncolorable: bool  # chromatic index 4 after removing the pair
 
-    @property
-    def verdict(self) -> bool:
-        # the suppression route, or the pair route where there is none
-        if self.suppression_uncolorable is None:
-            return self.removal_uncolorable
-        return self.suppression_uncolorable
-
-    @property
-    def routes_agree(self) -> Optional[bool]:
-        if self.suppression_uncolorable is None:
-            return None
-        return self.suppression_uncolorable == self.removal_uncolorable
-
 
 @dataclass(frozen=True)
 class StrongCertificate:
@@ -523,13 +510,22 @@ class StrongCertificate:
 
     @property
     def is_strong(self) -> bool:
-        return all(s.verdict for s in self.per_edge)
+        # each edge's suppression route, or its pair route where there is none
+        return all(
+            s.removal_uncolorable
+            if s.suppression_uncolorable is None
+            else s.suppression_uncolorable
+            for s in self.per_edge
+        )
 
     @property
     def routes_agree(self) -> bool:
-        # where every edge agrees, each verdict equals its pair route, so the
-        # two routes' totals agree as well
-        return all(s.routes_agree is not False for s in self.per_edge)
+        # where every suppressible edge agrees, each edge's verdict equals its
+        # pair route, so the two routes' totals agree as well
+        return all(
+            s.suppression_uncolorable in (None, s.removal_uncolorable)
+            for s in self.per_edge
+        )
 
     @property
     def non_suppressible_edges(self) -> tuple[int, ...]:
@@ -544,7 +540,7 @@ class StrongCertificate:
             f"suppression_uncolorable={_bool(s.suppression_uncolorable)} "
             f"removal_uncolorable={_bool(s.removal_uncolorable)}"
             for s in self.per_edge
-            if s.routes_agree is False
+            if s.suppression_uncolorable not in (None, s.removal_uncolorable)
         )
 
 
@@ -762,34 +758,31 @@ def classify(graph: CubicGraph, graph_index: int = 0) -> ClassificationRecord:
     one decision table, which keeps verdicts only.
     """
     profile = structure_profile(graph)
+    record = ClassificationRecord(
+        graph_index=graph_index,
+        order=graph.order,
+        is_snark=False,
+        girth=profile.girth,
+        cyclic_edge_connectivity=profile.cyclic_edge_connectivity,
+    )
     table = DecisionTable(graph, snark_status(graph))
     if not table.status.verdict:
-        return ClassificationRecord(
-            graph_index=graph_index,
-            order=graph.order,
-            is_snark=False,
-            girth=profile.girth,
-            cyclic_edge_connectivity=profile.cyclic_edge_connectivity,
-        )
+        return record
     cert = verify_classifier_coincidence(graph, table=table)
     if not cert.consistent:
         raise EquivalenceViolationError(
             "criticality classifiers disagree between the coloring and flow routes: "
             + "; ".join(cert.disagreements())
         )
-    strong = is_strong(graph, table=table)
-    return ClassificationRecord(
-        graph_index=graph_index,
-        order=graph.order,
+    return replace(
+        record,
         is_snark=True,
-        girth=profile.girth,
-        cyclic_edge_connectivity=profile.cyclic_edge_connectivity,
         is_critical=cert.critical,
         is_bicritical=cert.bicritical,
         is_strictly_critical=cert.critical and not cert.bicritical,
         is_4_edge_critical=cert.edge_flow_critical,
         is_4_vertex_critical=cert.vertex_flow_critical,
-        is_strong=strong,
+        is_strong=is_strong(graph, table=table),
         coloring_path_micros=cert.coloring_path_micros,
         flow_path_micros=cert.flow_path_micros,
     )

@@ -263,7 +263,7 @@ def blanusa(variant: int) -> CubicGraph:
     return build_graph(18, _BLANUSA_1 if variant == 1 else _BLANUSA_2)
 
 
-_FLOWER_RE = re.compile(r"^flower\(?(\d+)\)?$")
+_FLOWER_RE = re.compile(r"flower(?:\((\d+)\)|(\d+))")
 
 
 def make_named(name: str) -> CubicGraph:
@@ -280,7 +280,7 @@ def make_named(name: str) -> CubicGraph:
     }
     if key in simple:
         return simple[key]()
-    m = _FLOWER_RE.match(key)
+    m = _FLOWER_RE.fullmatch(key)
     if m:
-        return flower_snark(int(m.group(1)))
+        return flower_snark(int(m.group(1) or m.group(2)))
     raise GraphError(f"unknown named graph {name!r}")

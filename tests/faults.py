@@ -2,17 +2,19 @@
 
 :meth:`DecisionTable.decide` is the one place where a derived-graph verdict
 is recorded, whether a solver or a checked transported witness settled it,
-so a fault injected there reaches every command the same way.  The other
-faults break what ``decide`` only uses to save work, a transported witness
-or a solver's hint, and must change no verdict.
+so a fault injected there reaches every command the same way.  The snark
+test of the parent graph is the one other solver verdict, and its fault
+inverts what :func:`snark_status` reads from one solver.  The other faults
+break what ``decide`` only uses to save work, a transported witness or a
+solver's hint, and must change no verdict.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional
 
-from snarkcrit import coloring, flows
-from snarkcrit.criticality import DecisionTable
+from snarkcrit import coloring, criticality, flows
+from snarkcrit.criticality import COLORING, DecisionTable
 
 
 def deny_decision(
@@ -36,6 +38,23 @@ def deny_decision(
         return None
 
     monkeypatch.setattr(DecisionTable, "decide", decide)
+
+
+def invert_snark_test(monkeypatch, solver: str) -> None:
+    """Invert the verdict :func:`snark_status` reads from ``solver``.
+
+    Wraps the solver under its name in ``criticality``, where only
+    ``snark_status`` looks it up; ``decide`` reaches the solvers through
+    their modules, so every derived-graph decision stays as it was.  A
+    graph with a witness gets none, and one without gets an empty one.
+    """
+    name = "three_edge_colorable" if solver == COLORING else "nowhere_zero_flow"
+    real = getattr(criticality, name)
+
+    def inverted(graph):
+        return None if real(graph) is not None else {}
+
+    monkeypatch.setattr(criticality, name, inverted)
 
 
 def corrupt_transported(monkeypatch) -> list:

@@ -5,6 +5,7 @@ import json
 import networkx as nx
 import pytest
 
+from snarkcrit.cli import EXIT_UNREADABLE, main
 from snarkcrit.criticality import CSV_COLUMNS, classify, is_snark, write_records
 from snarkcrit.graph_io import (
     Graph6EncodeError,
@@ -215,6 +216,14 @@ class TestNamedGraphs:
         assert g.order == 20 and len(g.edges) == 30
         assert is_snark(g)
         assert make_named("flower5").order == 20
+
+    @pytest.mark.parametrize("name", ["flower(7", "flower7)"])
+    def test_flower_parentheses_must_balance(self, name, capsys):
+        with pytest.raises(GraphError):
+            make_named(name)
+        assert main(["--named", name]) == EXIT_UNREADABLE
+        out, err = capsys.readouterr()
+        assert out == "" and f"unknown named graph {name!r}" in err
 
     def test_flower_parameter_validation(self):
         for bad in ("flower(4)", "flower(3)", "flower(6)"):
